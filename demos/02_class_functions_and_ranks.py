@@ -15,7 +15,7 @@ per-class rho data.
 from fractions import Fraction
 
 from etarho import (FiniteGroup, RhoVector, class_space_basis, fourier_eta,
-                    pair_phi, rank_minus, rank_plus, tau_orbits, theta)
+                    pair_phi, rank_minus, rank_plus, tau_orbits)
 from etarho.chars import l2_twist
 
 for descriptor in (FiniteGroup.cyclic(4), FiniteGroup.cyclic(5),
@@ -39,6 +39,6 @@ print("== Fourier pairing vs the class-function pairing ==")
 rho = RhoVector(g5, tuple(Fraction(k * k + 1, 3) for k in range(5)))
 twist = l2_twist(g5)
 print("  chi of -triv + (1/5) regular:", [str(v) for v in twist.character.values])
-print("  fourier_eta(twist, rho)     =", fourier_eta(twist, rho))
-print("  pair_phi(theta(twist), rho) =", pair_phi(theta(twist), rho))
+print("  fourier_eta(twist, rho)        =", fourier_eta(twist, rho))
+print("  pair_phi(twist.character, rho) =", pair_phi(twist.character, rho))
 print("  (equal exactly: the character map turns one pairing into the other)")

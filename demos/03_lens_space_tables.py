@@ -13,7 +13,7 @@ witnesses, span ranks, and the rationality behaviour of integer twists.
 
 from etarho import (FiniteGroup, LensSpace, class_space_basis,
                     lens_delocalized_rho, lens_twisted_rho,
-                    rank_plus, ring_contains, ring_from_orders,
+                    rank_plus, ring_from_orders,
                     search_nonvanishing, span_rank)
 from etarho.chars import l2_twist
 from etarho.rho import rho2_from_delocalized
@@ -55,4 +55,4 @@ for weights in ((1, 1), (1, 2), (1, 2, 3, 4)):
     value = lens_twisted_rho(LensSpace(7, weights), twist)
     q = value.as_rational()
     print(f"  L(7;{','.join(map(str, weights))}): twist value {q},"
-          f" in {ring}: {ring_contains(ring, q)}")
+          f" in {ring}: {ring.contains(q)}")

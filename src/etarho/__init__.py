@@ -14,11 +14,6 @@ Subpackages group by concern:
 from .cyclotomic import (
     CyclotomicValue,
     OrderMismatchError,
-    Rational,
-    cyclo_conj,
-    cyclo_embed,
-    cyclo_lift,
-    cyclo_mul,
 )
 from .chars import (
     ClassFunction,
@@ -32,14 +27,12 @@ from .chars import (
     rank_minus,
     rank_plus,
     tau_orbits,
-    theta,
 )
 from .rho import (
     DenominatorRing,
     SubgroupInclusion,
     induce_rho,
     rho2_from_delocalized,
-    ring_contains,
     ring_from_orders,
 )
 from .lens import (

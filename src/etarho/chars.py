@@ -399,11 +399,6 @@ def is_in_R0(rep: VirtualRep, parity: str) -> bool:
     raise ValueError("parity must be 'plus' or 'minus'")
 
 
-def theta(rep: VirtualRep) -> ClassFunction:
-    """The character map Theta: virtual representation -> class function."""
-    return rep.character
-
-
 def _mixed_mul(chi: CyclotomicValue, rho_val, precision_bits: int = 64):
     if isinstance(rho_val, CyclotomicValue):
         return chi * rho_val

@@ -349,14 +349,13 @@ class EtaReport:
 
 def eta_partial(family: SubsetFamily, max_terms: int,
                 cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False,
-                exact_cap: int = 512, jobs: int = 1) -> EtaReport:
+                exact_cap: int = 512) -> EtaReport:
     """Partial sums of eta terms over the first max_terms elements of X.
 
     Finite families may exhaust before max_terms (not an error).  The fast
     path uses the closed form i/(pi n) per term and accumulates an exact
     coefficient up to ``exact_cap`` terms; audit mode runs full quadrature
-    per term (``jobs`` caps the worker pool; results are merged in index
-    order) and reports the per-term error estimates.
+    per term and reports the per-term error estimates.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
@@ -366,13 +365,7 @@ def eta_partial(family: SubsetFamily, max_terms: int,
             break
         elements.append(n)
     if audit:
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                terms = list(pool.map(lambda n: eta_term(n, cfg, audit=True),
-                                      elements))
-        else:
-            terms = [eta_term(n, cfg, audit=True) for n in elements]
+        terms = [eta_term(n, cfg, audit=True) for n in elements]
         errors = [abs(t - closed_form_term(n).to_complex())
                   for n, t in zip(elements, terms)]
     else:

@@ -23,7 +23,7 @@ from .circle import (QuadratureConfig, QuadratureError, SubsetFamily,
 from .cyclotomic import CyclotomicValue
 from .lens import LensSpace, lens_delocalized_rho
 from .rho import (SubgroupInclusion, ZooRhoTable, induce_rho,
-                  rho2_from_delocalized, ring_contains, ring_from_orders)
+                  rho2_from_delocalized, ring_from_orders)
 from .serialize import value_json
 from .verify import verify_all
 from .zoo import (CapExceededError, Cyclic, HnnShift, Lamplighter,
@@ -111,8 +111,6 @@ def _add_common(parser, suppress: bool):
                         help="attach a metadata block (timestamps) to JSON output")
     parser.add_argument("--config", type=str, default=default(None),
                         help="key=value config file; flags override it")
-    parser.add_argument("--jobs", type=int, default=default(1),
-                        help="worker cap for parallelizable steps (>= 1)")
 
 
 def build_parser() -> _Parser:
@@ -258,7 +256,7 @@ def _cmd_lens(args) -> RunReport:
                   for j, v in enumerate(rho.values)],
         "rho2": value_json(rho2),
         "rho2_in_ring": (rho2.is_rational()
-                         and ring_contains(ring, rho2.as_rational())),
+                         and ring.contains(rho2.as_rational())),
         "ring": str(ring),
     }
     return RunReport("lens", {"n": args.n, "weights": list(weights),
@@ -268,7 +266,7 @@ def _cmd_lens(args) -> RunReport:
 def _cmd_circle(args) -> RunReport:
     family = _parse_subset(args.subset)
     cfg = QuadratureConfig() if args.tol is None else QuadratureConfig(abs_tol=args.tol)
-    report = eta_partial(family, args.terms, cfg, audit=args.audit, jobs=args.jobs)
+    report = eta_partial(family, args.terms, cfg, audit=args.audit)
     if args.ahat is not None:
         report = product_with_ahat(report, Fraction(args.ahat))
     diagnostics = []
@@ -356,7 +354,7 @@ def _cmd_ringcheck(args) -> RunReport:
         "ring": str(ring),
         "prime_support": sorted(ring.prime_support),
         "value": str(value),
-        "contained": ring_contains(ring, value),
+        "contained": ring.contains(value),
     }
     return RunReport("ringcheck", {"orders": args.orders, "value": args.value,
                                    "invert_two": args.invert_two}, results)
@@ -436,9 +434,11 @@ def run(argv) -> tuple[RunReport, str, int]:
     """Parse argv, dispatch, and return (report, rendered output, exit code)."""
     parser = build_parser()
     # config file: values act as defaults, explicit flags override
-    if "--config" in argv:
-        idx = list(argv).index("--config")
-        config = _load_config(argv[idx + 1])
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(list(argv))[0].config
+    if config_path is not None:
+        config = _load_config(config_path)
         known = {a.dest for a in parser._actions}
         unknown = set(config) - known
         if unknown:
@@ -454,8 +454,6 @@ def run(argv) -> tuple[RunReport, str, int]:
                 typed[key] = value
         parser.set_defaults(**typed)
     args = parser.parse_args(list(argv))
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     if not args.command:
         raise UsageError("a subcommand is required "
                          f"(one of {', '.join(sorted(COMMANDS))})")

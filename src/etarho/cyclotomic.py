@@ -20,8 +20,6 @@ from math import gcd, lcm
 import mpmath
 import sympy
 
-Rational = Fraction
-
 
 class OrderMismatchError(ValueError):
     """Raised when two cyclotomic values of incompatible orders are combined
@@ -388,25 +386,3 @@ def _poly_invert(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
         raise ZeroDivisionError("value is not invertible modulo the cyclotomic polynomial")
     c = r0[0]
     return [x / c for x in s0]
-
-
-# -- convenience wrappers used across the package ----------------------
-
-def cyclo_mul(a: CyclotomicValue, b: CyclotomicValue) -> CyclotomicValue:
-    """Exact product; both operands must already share one order."""
-    if a.order != b.order:
-        raise OrderMismatchError(
-            f"orders differ ({a.order} vs {b.order}); lift with cyclo_lift first")
-    return a * b
-
-
-def cyclo_conj(a: CyclotomicValue) -> CyclotomicValue:
-    return a.conjugate()
-
-
-def cyclo_lift(a: CyclotomicValue, order: int) -> CyclotomicValue:
-    return a.lift(order)
-
-
-def cyclo_embed(a: CyclotomicValue, precision_bits: int = 64) -> mpmath.mpc:
-    return a.embed(precision_bits)

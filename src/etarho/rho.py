@@ -155,7 +155,3 @@ def ring_from_orders(orders, invert_two: bool = False) -> DenominatorRing:
             raise ValueError(f"orders must be positive integers or infinity, got {o}")
         primes.update(int(p) for p in sympy.factorint(int(o)))
     return DenominatorRing(frozenset(primes))
-
-
-def ring_contains(ring: DenominatorRing, q) -> bool:
-    return ring.contains(q)

@@ -16,14 +16,14 @@ from fractions import Fraction
 from .chars import (FiniteGroup, RhoVector, VirtualRep,
                     class_space_basis, cyclic_irreducible_character,
                     fourier_eta, l2_twist, pair_phi, r_plus_test_reps,
-                    rank_plus, theta)
+                    rank_plus)
 from .circle import (SubsetFamily, classify_convergence, eta_partial, eta_term)
 from .cyclotomic import CyclotomicValue
 from .exactlinalg import exact_rank
 from .lens import (LensSpace, lens_delocalized_rho, lens_twisted_rho,
                    search_nonvanishing, span_rank, weight_family)
 from .rho import (SubgroupInclusion, induce_rho, rho2_from_delocalized,
-                  ring_contains, ring_from_orders)
+                  ring_from_orders)
 from .zoo import (HnnShift, Lamplighter, QSemidirect, class_ball,
                   class_ball_rationals, class_intersect_integers,
                   growth_classify, normalize)
@@ -112,7 +112,7 @@ def suite_04_fourier_machinery() -> dict:
         n = rng.randint(2, 24)
         rep = _random_virtual_rep(n, rng)
         rho = _random_rho(FiniteGroup.cyclic(n), rng, order=n)
-        if fourier_eta(rep, rho) != pair_phi(theta(rep), rho):
+        if fourier_eta(rep, rho) != pair_phi(rep.character, rho):
             failures.append({"trial": trial, "n": n})
     rank_results = {}
     ranks_ok = True
@@ -294,7 +294,7 @@ def suite_09_rationality() -> dict:
                     if not value.is_rational():
                         failures.append({"space": str(space), "rep": idx,
                                          "why": "not rational"})
-                    elif not ring_contains(ring, value.as_rational()):
+                    elif not ring.contains(value.as_rational()):
                         failures.append({"space": str(space), "rep": idx,
                                          "why": f"{value.as_rational()} outside {ring}"})
     return {

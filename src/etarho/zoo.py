@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -107,6 +108,27 @@ def q_alpha(a: tuple, k: int = 1) -> tuple:
     return (Fraction(0), _lam_shift(a[1], k))
 
 
+def _bfs(start, gens, step, radius: int, node_budget: int) -> dict:
+    """First-reach distance of every node within ``radius`` steps of
+    ``start``, where the neighbours of ``x`` are ``step(x, g)`` for g in
+    ``gens``; the dict is in BFS order."""
+    dist = {start: 0}
+    frontier = [start]
+    for r in range(1, radius + 1):
+        new = []
+        for node in frontier:
+            for g in gens:
+                cand = step(node, g)
+                if cand not in dist:
+                    dist[cand] = r
+                    new.append(cand)
+                    if len(dist) > node_budget:
+                        raise CapExceededError(
+                            f"ball exceeded node budget {node_budget} at radius {r}")
+        frontier = new
+    return dist
+
+
 # --------------------------------------------------------------------------
 # Reachable conjugation multipliers for rational-kernel elements.
 #
@@ -141,31 +163,19 @@ def _wreath_mul(a: tuple, b: tuple) -> tuple:
 @lru_cache(maxsize=8)
 def _lambda_levels(radius: int) -> tuple:
     """levels[r] = lambda-configs whose minimal Z-wr-Z word length is r."""
-    identity = ((), 0)
     gens = ((((0, 1),), 0), (((0, -1),), 0), ((), 1), ((), -1))
-    seen = {identity}
-    levels = [{()}]
-    config_seen = {()}
-    frontier = [identity]
-    for _ in range(1, radius + 1):
-        new = []
-        level = set()
-        for el in frontier:
-            for g in gens:
-                cand = _wreath_mul(el, g)
-                if cand not in seen:
-                    seen.add(cand)
-                    new.append(cand)
-                    if cand[1] == 0 and cand[0] not in config_seen:
-                        config_seen.add(cand[0])
-                        level.add(cand[0])
-        levels.append(level)
-        frontier = new
+    dist = _bfs(((), 0), gens, _wreath_mul, radius, DEFAULT_NODE_BUDGET)
+    levels = [set() for _ in range(radius + 1)]
+    for (config, shift), r in dist.items():
+        if shift == 0:
+            levels[r].add(config)
     return tuple(frozenset(lv) for lv in levels)
 
 
 def multiplier_levels(radius: int) -> list[set]:
     """Distinct kernel-conjugation multipliers, bucketed by first-reach radius."""
+    if radius < 0:
+        raise ZooError("radius must be >= 0")
     seen: set = set()
     out = []
     for level in _lambda_levels(radius):
@@ -531,7 +541,7 @@ class WordBall:
         out = [0] * (self.radius + 1)
         for _, length in self.elements.items():
             out[length] += 1
-        return list(np.cumsum(out))
+        return list(accumulate(out))
 
 
 def word_ball(group, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> WordBall:
@@ -539,45 +549,47 @@ def word_ball(group, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Wor
     if radius < 0:
         raise ZooError("radius must be >= 0")
     gens = group.generators()
-    lengths = {group.identity: 0}
-    frontier = [group.identity]
-    for r in range(1, radius + 1):
-        new = []
-        for el in frontier:
-            for _, g in gens:
-                cand = group.mul(el, g)
-                if cand not in lengths:
-                    lengths[cand] = r
-                    new.append(cand)
-                    if len(lengths) > node_budget:
-                        raise CapExceededError(
-                            f"word ball exceeded node budget {node_budget} at radius {r}")
-        frontier = new
+    lengths = _bfs(group.identity, [g for _, g in gens], group.mul, radius, node_budget)
     return WordBall(group.name, tuple(lbl for lbl, _ in gens), radius, lengths)
 
 
-def _conjugate_levels(group, h, radius: int, node_budget: int):
+def _conjugate_levels(group, h, radius: int, node_budget: int) -> list[set]:
     """Levels of the conjugate-value BFS: level r holds the values first
     reached by conjugators of word length exactly r."""
-    gens = group.generators()
-    pairs = [(g, group.inv(g)) for _, g in gens]
-    seen = {h}
-    levels = [{h}]
-    frontier = [h]
-    for r in range(1, radius + 1):
-        new = []
-        for c in frontier:
-            for g, g_inv in pairs:
-                cand = group.mul(g, group.mul(c, g_inv))
-                if cand not in seen:
-                    seen.add(cand)
-                    new.append(cand)
-                    if len(seen) > node_budget:
-                        raise CapExceededError(
-                            f"conjugacy ball exceeded node budget {node_budget} at radius {r}")
-        levels.append(set(new))
-        frontier = new
+    mul = group.mul
+    pairs = [(g, group.inv(g)) for _, g in group.generators()]
+    dist = _bfs(h, pairs, lambda c, gp: mul(gp[0], mul(c, gp[1])), radius, node_budget)
+    levels = [set() for _ in range(radius + 1)]
+    for c, r in dist.items():
+        levels[r].add(c)
     return levels
+
+
+def _class_levels(group, h, radius: int, radius_cap: int, node_budget: int) -> list[set]:
+    """Level r holds the conjugates w h w^-1 first reached at |w| = r, each
+    value once (for QSemidirect: see ``class_ball``)."""
+    if radius > radius_cap:
+        raise CapExceededError(f"radius {radius} above desk-scale cap {radius_cap}")
+    if radius < 0:
+        raise ZooError("radius must be >= 0")
+    if isinstance(group, Cyclic):
+        levels = [{h}] * (radius + 1)
+    elif isinstance(group, QSemidirect) and q_in_kernel(h):
+        levels = [{(m * h[0], ()) for m in level} for level in multiplier_levels(radius)]
+    elif isinstance(group, QSemidirect):
+        ambient = group.ambient()
+        levels = [{u[0] for u in level if ambient.in_base(u)}
+                  for level in _conjugate_levels(ambient, ambient.from_base(h),
+                                                 radius, node_budget)]
+    else:
+        levels = _conjugate_levels(group, h, radius, node_budget)
+    seen: set = set()
+    out = []
+    for level in levels:
+        fresh = level - seen
+        seen |= fresh
+        out.append(fresh)
+    return out
 
 
 def class_ball(group, h, radius: int, radius_cap: int = DESK_RADIUS_CAP,
@@ -590,21 +602,7 @@ def class_ball(group, h, radius: int, radius_cap: int = DESK_RADIUS_CAP,
     (non-kernel base elements fall back to the ambient BFS, restricted to
     values in the base group).
     """
-    if radius > radius_cap:
-        raise CapExceededError(f"radius {radius} above desk-scale cap {radius_cap}")
-    if radius < 0:
-        raise ZooError("radius must be >= 0")
-    if isinstance(group, Cyclic):
-        return {h}
-    if isinstance(group, QSemidirect):
-        if q_in_kernel(h):
-            q0 = h[0]
-            return {(m * q0, ()) for m in set().union(*multiplier_levels(radius))}
-        ambient = group.ambient()
-        levels = _conjugate_levels(ambient, ambient.from_base(h), radius, node_budget)
-        return {u[0] for level in levels for u in level if ambient.in_base(u)}
-    levels = _conjugate_levels(group, h, radius, node_budget)
-    return set().union(*levels)
+    return set().union(*_class_levels(group, h, radius, radius_cap, node_budget))
 
 
 def class_ball_rationals(group, q0, radius: int,
@@ -627,33 +625,8 @@ def class_ball_rationals(group, q0, radius: int,
 def class_ball_counts(group, h, max_radius: int, radius_cap: int = DESK_RADIUS_CAP,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
     """Cumulative conjugate counts by radius (one BFS, all radii at once)."""
-    if max_radius > radius_cap:
-        raise CapExceededError(f"radius {max_radius} above desk-scale cap {radius_cap}")
-    if isinstance(group, Cyclic):
-        return [1] * (max_radius + 1)
-    if isinstance(group, QSemidirect) and q_in_kernel(h):
-        counts = []
-        total = 0
-        for level in multiplier_levels(max_radius):
-            total += len(level)
-            counts.append(total)
-        return counts
-    if isinstance(group, QSemidirect):
-        ambient = group.ambient()
-        levels = _conjugate_levels(ambient, ambient.from_base(h), max_radius, node_budget)
-        counts = []
-        total = 0
-        for level in levels:
-            total += sum(1 for u in level if ambient.in_base(u))
-            counts.append(total)
-        return counts
-    levels = _conjugate_levels(group, h, max_radius, node_budget)
-    counts = []
-    total = 0
-    for level in levels:
-        total += len(level)
-        counts.append(total)
-    return counts
+    levels = _class_levels(group, h, max_radius, radius_cap, node_budget)
+    return list(accumulate(len(level) for level in levels))
 
 
 def class_intersect_integers(group, radius: int,

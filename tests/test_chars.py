@@ -8,8 +8,7 @@ from etarho.chars import (ClassFunction, FiniteGroup, GroupTableError,
                           RhoVector, VirtualRep, class_space_basis,
                           cyclic_irreducible_character, fourier_eta, is_in_R0,
                           l2_twist, pair_phi, r_plus_test_reps, rank_minus,
-                          rank_plus, regular_rep, tau_orbits, theta,
-                          trivial_rep)
+                          rank_plus, regular_rep, tau_orbits, trivial_rep)
 from etarho.cyclotomic import CyclotomicValue
 from etarho.exactlinalg import exact_rank
 
@@ -175,7 +174,7 @@ class TestPairings:
                 CyclotomicValue(n, [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
                                     for _ in range(1)])
                 for _ in range(n)))
-            assert fourier_eta(rep, rho) == pair_phi(theta(rep), rho)
+            assert fourier_eta(rep, rho) == pair_phi(rep.character, rho)
 
     def test_opposite_parities_annihilate(self):
         # symmetric rep character against antisymmetric rho: exact zero

@@ -162,12 +162,6 @@ class TestEtaPartial:
         assert all(e < 1e-9 for e in report.per_term_errors)
         assert abs(report.final_value() - 1.5j / math.pi) < 1e-9
 
-    def test_audit_with_jobs_matches_serial(self):
-        fam = SubsetFamily.finite([1, 2, 3, 4])
-        serial = eta_partial(fam, 4, audit=True)
-        parallel = eta_partial(fam, 4, audit=True, jobs=3)
-        assert serial.partial_sums == parallel.partial_sums
-
 
 class TestAhatMultiplier:
     def test_scales_exact_value(self):

@@ -70,8 +70,7 @@ class TestCircle:
         assert payload["results"]["verdict"]["exact"]["rational_coeff"] == "6"
 
     def test_audit_small(self):
-        payload, _ = run_json(["circle", "--subset", "finite:1,2", "--audit",
-                               "--jobs", "2"])
+        payload, _ = run_json(["circle", "--subset", "finite:1,2", "--audit"])
         errors = [float(e) for e in payload["results"]["per_term_errors"]]
         assert all(e < 1e-9 for e in errors)
 
@@ -97,6 +96,22 @@ class TestZooAndGrowth:
         payload, _ = run_json(["growth", "--group", "lamplighter:2",
                                "--element", "lamp:0", "--max-radius", "8"])
         assert payload["results"]["kind"] == "polynomial"
+
+    def test_growth_of_qsemi_identity_is_constant(self):
+        payload, _ = run_json(["growth", "--group", "qsemi", "--element", "q:0",
+                               "--max-radius", "6"])
+        assert payload["results"]["counts"] == [1] * 7
+
+    def test_ball_json_agrees_with_tsv(self):
+        payload, code = run_json(["zoo", "--group", "lamplighter:2", "--ball", "2"])
+        assert code == 0
+        ball = payload["results"]["word_ball"]
+        _, tsv, _ = run(["zoo", "--group", "lamplighter:2", "--ball", "2",
+                         "--format", "tsv"])
+        rows = dict(line.split("\t", 1) for line in tsv.splitlines())
+        assert ball["sizes_by_radius"] == [
+            int(rows[f"word_ball.sizes_by_radius[{i}]"]) for i in range(3)]
+        assert ball["sizes_by_radius"][-1] == len(ball["elements"])
 
 
 class TestRingcheck:
@@ -188,14 +203,24 @@ class TestCliBehavior:
                           "--orders", "2", "--value", "1"])
         json.loads(out2)
 
+    def test_config_equals_form(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("format=tsv\n")
+        _, out, _ = run(["ringcheck", "--orders", "2", "--value", "1",
+                         f"--config={cfg}"])
+        assert out.startswith("ring\t")
+
+    def test_config_without_value_exits_1(self, capsys):
+        assert main(["ringcheck", "--orders", "2", "--value", "1", "--config"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --config")
+        assert "Traceback" not in err
+
     def test_config_rejects_unknown_keys(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("frobnicate=1\n")
         with pytest.raises(UsageError):
             run(["--config", str(cfg), "ringcheck", "--orders", "2", "--value", "1"])
-
-    def test_jobs_validation(self, capsys):
-        assert main(["--jobs", "0", "ringcheck", "--orders", "2", "--value", "1"]) == 1
 
     def test_verify_single_suite(self):
         payload, code = run_json(["verify", "--suite", "2"])

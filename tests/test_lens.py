@@ -10,7 +10,7 @@ from etarho.exactlinalg import exact_rank
 from etarho.lens import (LensSpace, NotFound, lens_delocalized_rho,
                          lens_twisted_rho, search_nonvanishing, span_rank,
                          weight_family)
-from etarho.rho import rho2_from_delocalized, ring_contains, ring_from_orders
+from etarho.rho import rho2_from_delocalized, ring_from_orders
 
 
 def rat(q):
@@ -100,14 +100,13 @@ class TestTwistedRho:
             lens_twisted_rho(LensSpace(5, (1,)), trivial_rep(FiniteGroup.cyclic(3)))
 
     def test_fourier_consistency_with_pair_phi(self):
-        from etarho.chars import theta
         from etarho.chars import r_plus_test_reps
         for n in (3, 5):
             for rep in r_plus_test_reps(n):
                 for weights in weight_family(n, 2):
                     space = LensSpace(n, weights)
                     table = lens_delocalized_rho(space)
-                    assert lens_twisted_rho(space, rep) == pair_phi(theta(rep), table)
+                    assert lens_twisted_rho(space, rep) == pair_phi(rep.character, table)
 
     def test_rationality_for_integer_characters(self):
         for n in (3, 5):
@@ -119,7 +118,7 @@ class TestTwistedRho:
                 for weights in weight_family(n, k):
                     value = lens_twisted_rho(LensSpace(n, weights), rep)
                     assert value.is_rational()
-                    assert ring_contains(ring, value.as_rational())
+                    assert ring.contains(value.as_rational())
 
 
 class TestSearch:

@@ -239,6 +239,19 @@ class TestClassBalls:
         for small, big in zip(balls, balls[1:]):
             assert small <= big
 
+    @pytest.mark.parametrize("group, word", [
+        (Cyclic(5), "g^2"), (Cyclic(5), ""),
+        (Lamplighter(2), "lamp:0"), (Lamplighter(3), "lamp:0 shift"), (Lamplighter(2), ""),
+        (QSemidirect(), "q:1"), (QSemidirect(), "e:0"), (QSemidirect(), "q:0"),
+        (HnnShift(), "t"), (HnnShift(), ""),
+        (Product(Cyclic(3), Lamplighter(2)), [(1, ((), 1))]),
+        (Product(Cyclic(3), Lamplighter(2)), []),
+    ], ids=lambda v: getattr(v, "name", None) or str(v or "identity"))
+    def test_ball_size_matches_counts(self, group, word):
+        h = normalize(group, word)
+        for r in range(5):
+            assert len(class_ball(group, h, r)) == class_ball_counts(group, h, r)[-1]
+
 
 class TestClassIntegers:
     def test_radius0(self, hnn):
@@ -262,6 +275,12 @@ class TestClassIntegers:
     def test_rejects_other_groups(self):
         with pytest.raises(ZooError):
             class_intersect_integers(Cyclic(3), 3)
+
+    def test_rejects_negative_radius(self, hnn):
+        with pytest.raises(ZooError):
+            class_intersect_integers(hnn, -1)
+        with pytest.raises(ZooError):
+            class_ball_counts(Lamplighter(2), Lamplighter(2).lamp(0, 1), -1)
 
 
 class TestGrowth:
