@@ -475,6 +475,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, ZooError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ZeroDivisionError as exc:  # a rational argument such as 1/0
+        print(f"error: zero denominator: {exc}", file=sys.stderr)
+        return 1
     print(rendered)
     return code
 

@@ -19,6 +19,9 @@ from math import gcd, lcm
 
 import mpmath
 import sympy
+from sympy.polys.densebasic import dup_strip
+from sympy.polys.domains import QQ
+from sympy.polys.euclidtools import dup_invert
 
 
 class OrderMismatchError(ValueError):
@@ -170,12 +173,21 @@ class CyclotomicValue:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicValue":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse, by sympy's extended Euclidean algorithm
+        (``dup_invert``) against Phi_n over QQ.
+
+        Raises ZeroDivisionError on zero; every nonzero value is invertible
+        because Phi_n is irreducible.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _poly_invert(list(self.coefficients), phi)
-        return CyclotomicValue(self.order, inv)
+        # dup_* routines take coefficients highest degree first, leading zeros
+        # stripped (an unstripped input makes them fail to reduce the degree)
+        f = dup_strip([QQ(c.numerator, c.denominator) for c in reversed(self.coefficients)])
+        phi = [QQ(c) for c in reversed(cyclotomic_polynomial(self.order))]
+        inv = dup_invert(f, phi, QQ)
+        return CyclotomicValue(self.order, [Fraction(int(c.numerator), int(c.denominator))
+                                            for c in reversed(inv)])
 
     def __truediv__(self, other):
         pair = self._coerce(other)
@@ -321,68 +333,3 @@ class CyclotomicValue:
     def from_json(cls, data: dict) -> "CyclotomicValue":
         return cls(int(data["order"]), [Fraction(c) for c in data["coefficients"]])
 
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_is_zero(p: list[Fraction]) -> bool:
-    return len(p) == 1 and p[0] == 0
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    den = _poly_trim(den)
-    deg_d = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < deg_d:
-        return [Fraction(0)], _poly_trim(num)
-    quot = [Fraction(0)] * (len(num) - deg_d)
-    for i in range(len(num) - 1, deg_d - 1, -1):
-        f = num[i] / lead
-        quot[i - deg_d] = f
-        if f:
-            for k in range(deg_d + 1):
-                num[i - deg_d + k] -= f * den[k]
-    return _poly_trim(quot), _poly_trim(num)
-
-
-def _poly_invert(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    """Inverse of a mod the (irreducible) modulus polynomial, over Q.
-
-    Maintains r_i = s_i * a + t_i * modulus; the t's are never needed.
-    """
-    r0, r1 = _poly_trim(a), _poly_trim(modulus)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    while not _poly_is_zero(r1):
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    # modulus irreducible and a nonzero mod it, so gcd r0 is a nonzero constant
-    if len(r0) != 1 or r0[0] == 0:
-        raise ZeroDivisionError("value is not invertible modulo the cyclotomic polynomial")
-    c = r0[0]
-    return [x / c for x in s0]

@@ -1,6 +1,8 @@
-"""Exact rank computation over Q(zeta_n) by fraction-free-ish Gaussian elimination.
+"""Exact rank computation over Q(zeta_n) by Gaussian elimination.
 
 Rows may mix orders; everything is lifted to a common cyclotomic order first.
+Elimination stops at row echelon form: each pivot clears only the rows below
+it, which is all a rank needs, and costs one field inverse (the pivot's).
 No pivoting heuristics are needed since the arithmetic is exact.
 """
 
@@ -30,25 +32,18 @@ def exact_rank(rows) -> int:
         return 0
     mat = _lift_matrix(rows)
     n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
     pivot_row = 0
     for col in range(n_cols):
-        pivot = None
-        for r in range(pivot_row, n_rows):
-            if not mat[r][col].is_zero():
-                pivot = r
-                break
+        pivot = next((r for r in range(pivot_row, n_rows) if not mat[r][col].is_zero()), None)
         if pivot is None:
             continue
         mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
+        # entries left of col are zero in every row from pivot_row down
         inv = mat[pivot_row][col].inverse()
-        mat[pivot_row] = [v * inv for v in mat[pivot_row]]
-        for r in range(n_rows):
-            if r != pivot_row and not mat[r][col].is_zero():
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pivot_row])]
-        rank += 1
+        head = [v * inv for v in mat[pivot_row][col:]]
+        for r in range(pivot_row + 1, n_rows):
+            factor = mat[r][col]
+            if not factor.is_zero():
+                mat[r][col:] = [a - factor * b for a, b in zip(mat[r][col:], head)]
         pivot_row += 1
-        if pivot_row == n_rows:
-            break
-    return rank
+    return pivot_row

@@ -5,6 +5,15 @@ The delocalized table of L(n; a_1..a_k) is computed exactly in Q(zeta_n):
     rho_{g^j} = scale * (1/n) * prod_l 1/(w^(j a_l) - w^(-j a_l)),
     w = zeta_n^((n+1)/2)  (the canonical square root of zeta_n, n odd).
 
+No factor is inverted in the field.  With x = j a_l mod n (nonzero) and
+h = (n+1)/2, each factor has the closed form
+
+    1/(w^x - w^-x) = zeta^(h x)/(zeta^x - 1) = (1/n) sum_{k=1}^{n-1} k zeta^((k+h) x),
+
+because (zeta^x - 1) * sum_k k zeta^(k x) = n whenever zeta^x != 1.  These
+are the cotangent sums behind lens-space rho invariants (Atiyah, Patodi and
+Singer, Spectral asymmetry and Riemannian geometry II, 1975; Donnelly, 1978).
+
 The overall normalization against published eta tables is deliberately a
 configuration knob (``defect_scale``); everything this package asserts about
 the tables (parity under inversion, reality, rationality of twists, span
@@ -60,11 +69,14 @@ def _lens_table(n: int, weights: tuple[int, ...], scale: Fraction) -> RhoVector:
     half = (n + 1) // 2  # w = zeta^half squares to zeta
     values = [CyclotomicValue.zero(n)]
     for j in range(1, n):
-        prod = CyclotomicValue.from_rational(Fraction(scale, n), n)
+        # each factor's 1/n is folded into the leading scalar
+        prod = CyclotomicValue.from_rational(Fraction(scale, n ** (len(weights) + 1)), n)
         for a in weights:
-            denom = (CyclotomicValue.root_of_unity(n, (half * j * a) % n)
-                     - CyclotomicValue.root_of_unity(n, (-half * j * a) % n))
-            prod = prod * denom.inverse()
+            x = j * a % n  # nonzero: a is a unit and 0 < j < n
+            coeffs = [0] * n
+            for k in range(1, n):
+                coeffs[(k + half) * x % n] += k  # indices collide when gcd(x, n) > 1
+            prod = prod * CyclotomicValue(n, coeffs)
         values.append(prod)
     return RhoVector(group, tuple(values))
 

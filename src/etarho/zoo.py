@@ -545,7 +545,10 @@ class WordBall:
 
 
 def word_ball(group, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> WordBall:
-    """Breadth-first ball of the group itself under its canonical generators."""
+    """Breadth-first ball of the group itself under its canonical generators,
+    for radius <= DESK_RADIUS_CAP."""
+    if radius > DESK_RADIUS_CAP:
+        raise CapExceededError(f"radius {radius} above desk-scale cap {DESK_RADIUS_CAP}")
     if radius < 0:
         raise ZooError("radius must be >= 0")
     gens = group.generators()

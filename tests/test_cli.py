@@ -173,6 +173,24 @@ class TestCliBehavior:
     def test_validation_error_exits_1(self, capsys):
         assert main(["lens", "--n", "4", "--weights", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["ringcheck", "--orders", "3,5", "--value", "1/0"],
+        ["lens", "--n", "3", "--weights", "1,1", "--defect-scale", "1/0"],
+        ["circle", "--subset", "ap:1,1", "--terms", "10", "--ahat", "1/0"],
+        ["induce", "--sub", "cyclic:2", "--target", "cyclic:4", "--map", "0,2",
+         "--rho", "1,1/0"],
+        ["zoo", "--group", "qsemi", "--class-of", "q:1/0"],
+    ])
+    def test_zero_denominator_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_word_ball_above_cap_exits_2(self, capsys):
+        assert main(["zoo", "--group", "hnn", "--ball", "13"]) == 2
+        assert "desk-scale cap" in capsys.readouterr().err
+
     def test_determinism_byte_identical(self):
         a = run(["lens", "--n", "7", "--weights", "1,2,3"])[1]
         b = run(["lens", "--n", "7", "--weights", "1,2,3"])[1]

@@ -1,0 +1,22 @@
+"""The demos that exercise field inverses, ranks and lens tables run cleanly."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", ["01_exact_cyclotomic_arithmetic.py",
+                                  "02_class_functions_and_ranks.py",
+                                  "03_lens_space_tables.py"])
+def test_demo_runs(name):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -59,6 +59,23 @@ class TestDelocalizedTable:
                     embedded = rho(j).embed(166)
                     assert abs(embedded - direct) < mpmath.mpf(10) ** -45
 
+    @pytest.mark.parametrize("n, weights", [
+        (3, (1, 1)), (5, (1, 2, 3)), (7, (1, 2, 3, 4)), (9, (1, 2)), (9, (1, 4, 7)),
+        (15, (1, 2)), (15, (1, 7, 11)), (21, (1, 2, 5, 8)),
+    ])
+    def test_closed_form_matches_field_inverses(self, n, weights):
+        # reference: invert every factor of the defect product in Q(zeta_n);
+        # the composite n cover classes g^j with gcd(j, n) > 1
+        scale = Fraction(3, 5)
+        half = (n + 1) // 2
+        rho = lens_delocalized_rho(LensSpace(n, weights), scale)
+        for j in range(1, n):
+            ref = CyclotomicValue.from_rational(scale / n, n)
+            for a in weights:
+                ref = ref * (CyclotomicValue.root_of_unity(n, half * j * a)
+                             - CyclotomicValue.root_of_unity(n, -half * j * a)).inverse()
+            assert rho(j).coefficients == ref.coefficients
+
     def test_parity_law_all_small_spaces(self):
         for n in (3, 5, 7):
             for k in (1, 2, 3, 4):

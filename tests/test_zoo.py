@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from etarho.zoo import (CapExceededError, Cyclic, HnnShift, Lamplighter,
-                        Product, QSemidirect, ZooError, class_ball,
+from etarho.zoo import (DESK_RADIUS_CAP, CapExceededError, Cyclic, HnnShift,
+                        Lamplighter, Product, QSemidirect, ZooError, class_ball,
                         class_ball_counts, class_ball_rationals,
                         class_intersect_integers, conjugate_of_one_test,
                         growth_classify, multiplier_levels, normalize, q_in_A,
@@ -328,6 +328,11 @@ class TestWordBalls:
     def test_budget(self, hnn):
         with pytest.raises(CapExceededError):
             word_ball(hnn, 8, node_budget=50)
+
+    def test_radius_cap(self, hnn):
+        # raised before the search: the node budget would stop it only at radius 10
+        with pytest.raises(CapExceededError, match="desk-scale cap"):
+            word_ball(hnn, DESK_RADIUS_CAP + 1)
 
 
 class TestParsing:
