@@ -32,6 +32,18 @@ from .zoo import (CapExceededError, Cyclic, HnnShift, Lamplighter,
                   growth_classify, normalize, word_ball)
 
 
+# input caps, checked before any work; going over one exits 1
+LENS_N_CAP = 127
+LENS_WEIGHTS_CAP = 8
+TERMS_CAP = 1_000_000
+AUDIT_TERMS_CAP = 64  # an audit term takes about a second; 64 errors are shown
+
+
+def _check_cap(what: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise ValueError(f"{what} {value} is above the cap of {cap}")
+
+
 @dataclass
 class RunReport:
     command: str
@@ -236,6 +248,8 @@ def _cmd_induce(args) -> RunReport:
 
 def _cmd_lens(args) -> RunReport:
     weights = tuple(int(x) for x in args.weights.split(","))
+    _check_cap("lens --n", args.n, LENS_N_CAP)
+    _check_cap("number of lens --weights", len(weights), LENS_WEIGHTS_CAP)
     space = LensSpace(args.n, weights)
     scale = Fraction(args.defect_scale)
     rho = lens_delocalized_rho(space, scale)
@@ -265,6 +279,10 @@ def _cmd_lens(args) -> RunReport:
 
 def _cmd_circle(args) -> RunReport:
     family = _parse_subset(args.subset)
+    _check_cap("circle --terms", args.terms, TERMS_CAP)
+    if args.audit:  # a finite subset stops at its own size
+        audited = min(args.terms, len(family.params)) if family.is_finite() else args.terms
+        _check_cap("number of audited terms", audited, AUDIT_TERMS_CAP)
     cfg = QuadratureConfig() if args.tol is None else QuadratureConfig(abs_tol=args.tol)
     report = eta_partial(family, args.terms, cfg, audit=args.audit)
     if args.ahat is not None:

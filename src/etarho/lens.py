@@ -31,7 +31,7 @@ from math import gcd
 from .chars import (ClassFunction, FiniteGroup, RhoVector, VirtualRep,
                     class_space_basis, fourier_eta, pair_phi)
 from .cyclotomic import CyclotomicValue
-from .exactlinalg import exact_rank
+from .exactlinalg import _EchelonModP, exact_rank
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,12 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
 
     Rows are lens spaces from ``weights_list`` (defaults to the full
     deduplicated family), columns the deterministic basis functions.
+
+    Each row goes into a row echelon form mod p as soon as it is built, and
+    the rows stop once its rank reaches the column count: the rank mod p is
+    a lower bound for the exact rank (see ``exactlinalg``) and the column
+    count an upper bound, so that rank is proven.  Otherwise the rank of all
+    the rows comes from ``exact_rank``.
     """
     if parity not in ("plus", "minus"):
         raise ValueError("parity must be 'plus' or 'minus'")
@@ -181,11 +187,13 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
         raise ValueError(f"k={k} has the wrong parity for '{parity}'")
     if weights_list is None:
         weights_list = weight_family(n, k)
+    spaces = [LensSpace(n, weights) for weights in weights_list]  # validate all
     basis = class_space_basis(FiniteGroup.cyclic(n), parity)
+    echelon = _EchelonModP(n)
     rows = []
-    for weights in weights_list:
-        rho = lens_delocalized_rho(LensSpace(n, weights), defect_scale)
+    for space in spaces:
+        rho = lens_delocalized_rho(space, defect_scale)
         rows.append([pair_phi(f, rho) for f in basis])
-    if not rows:
-        return 0
+        if echelon.add(rows[-1]) == len(basis):
+            return len(basis)
     return exact_rank(rows)

@@ -187,6 +187,25 @@ class TestCliBehavior:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, allowed", [
+        (["lens", "--n", "129", "--weights", "1"], False),
+        (["lens", "--n", "3", "--weights", ",".join(["1"] * 9)], False),
+        (["lens", "--n", "3", "--weights", ",".join(["1"] * 8)], True),
+        (["circle", "--subset", "ap:1,1", "--terms", "1000001"], False),
+        (["circle", "--subset", "finite:1,2", "--terms", "1000000"], True),
+        (["circle", "--subset", "ap:1,1", "--terms", "65", "--audit"], False),
+        (["circle", "--subset", f"finite:{','.join(map(str, range(1, 66)))}", "--audit"],
+         False),
+    ])
+    def test_input_caps(self, argv, allowed, capsys):
+        assert main(argv) == (0 if allowed else 1)
+        err = capsys.readouterr().err
+        if allowed:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and "above the cap of" in err
+            assert err.count("\n") == 1
+
     def test_word_ball_above_cap_exits_2(self, capsys):
         assert main(["zoo", "--group", "hnn", "--ball", "13"]) == 2
         assert "desk-scale cap" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from etarho.cyclotomic import (CyclotomicValue, OrderMismatchError,
@@ -195,6 +196,31 @@ class TestGaloisAndMinimalPolynomial:
         assert (zeta(6, 2) + 1) in values
         assert zeta(10, 2) in values
         assert rat(7) in values
+
+
+@st.composite
+def _sparse_values(draw):
+    """(n, {i: c}): up to three nonzero rational multiples of powers of zeta_n."""
+    n = draw(st.sampled_from([3, 5, 7, 8, 9, 12]))
+    terms = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=n - 1),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        min_size=1, max_size=3))
+    return n, terms
+
+
+class TestMinimalPolynomialOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(_sparse_values())
+    def test_matches_sympy(self, sparse):
+        n, terms = sparse
+        coeffs = [terms.get(i, 0) for i in range(n)]
+        x = sympy.Symbol("x")
+        expr = sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.exp(2 * sympy.pi * sympy.I * i / n) for i, c in terms.items())
+        expected = sympy.Poly(sympy.minimal_polynomial(expr, x), x).monic().all_coeffs()
+        assert CyclotomicValue(n, coeffs).minimal_polynomial() == tuple(
+            Fraction(int(c.p), int(c.q)) for c in reversed(expected))
 
 
 class TestSerialization:

@@ -6,7 +6,8 @@ import pytest
 from etarho.chars import (FiniteGroup, class_space_basis, l2_twist, pair_phi,
                           rank_plus, regular_rep, trivial_rep)
 from etarho.cyclotomic import CyclotomicValue
-from etarho.exactlinalg import exact_rank
+from etarho import lens
+from etarho.exactlinalg import _echelon_rank, exact_rank
 from etarho.lens import (LensSpace, NotFound, lens_delocalized_rho,
                          lens_twisted_rho, search_nonvanishing, span_rank,
                          weight_family)
@@ -200,6 +201,56 @@ class TestSpanRank:
     def test_parity_k_mismatch_rejected(self):
         with pytest.raises(ValueError):
             span_rank(5, "plus", 3)
+
+
+def pairing_rows(n, parity, weights_list):
+    basis = class_space_basis(FiniteGroup.cyclic(n), parity)
+    return [[pair_phi(f, lens_delocalized_rho(LensSpace(n, w))) for f in basis]
+            for w in weights_list]
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Records each call span_rank makes to exact_rank."""
+    calls = []
+
+    def spy(rows):
+        calls.append(len(rows))
+        return exact_rank(rows)
+
+    monkeypatch.setattr(lens, "exact_rank", spy)
+    return calls
+
+
+class TestSpanRankEarlyStop:
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_matches_exact_elimination(self, n, k, exact_calls):
+        rows = pairing_rows(n, "plus", weight_family(n, k))
+        rank = span_rank(n, "plus", k)
+        assert rank == _echelon_rank(rows)
+        # the early stop fires exactly when the rank is the column count
+        assert (exact_calls == []) == (rank == len(rows[0]))
+
+    def test_rank_below_column_count_runs_exact_rank(self, exact_calls):
+        assert span_rank(7, "plus", 2) == 2 < rank_plus(FiniteGroup.cyclic(7)) == 3
+        assert exact_calls == [len(weight_family(7, 2))]
+
+    def test_repeated_weights(self, exact_calls):
+        weights = [(1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 2, 2), (1, 1, 1, 1), (1, 2, 3, 4),
+                   (1, 1, 2, 2), (1, 2, 2, 6)]
+        for end, rank in ((2, 1), (4, 2), (len(weights), 3)):
+            assert span_rank(7, "plus", 4, weights[:end]) == _echelon_rank(
+                pairing_rows(7, "plus", weights[:end])) == rank
+        # full rank (3) is reached at the fifth row, so the whole list stops early
+        assert exact_calls == [2, 4]
+
+    def test_invalid_weights_rejected_after_full_rank(self):
+        with pytest.raises(ValueError):
+            span_rank(5, "plus", 2, [(1, 1), (1, 2), (1, 1), (5, 1)])
+
+    def test_n13_reaches_rank_plus(self):
+        assert span_rank(13, "plus", 4) == rank_plus(FiniteGroup.cyclic(13)) == 6
 
 
 class TestWeightFamily:
