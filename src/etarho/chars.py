@@ -399,10 +399,10 @@ def is_in_R0(rep: VirtualRep, parity: str) -> bool:
     raise ValueError("parity must be 'plus' or 'minus'")
 
 
-def _mixed_mul(chi: CyclotomicValue, rho_val, precision_bits: int = 64):
+def _mixed_mul(chi: CyclotomicValue, rho_val):
     if isinstance(rho_val, CyclotomicValue):
         return chi * rho_val
-    c = chi.embed(precision_bits)
+    c = chi.embed()
     return complex(c.real, c.imag) * complex(rho_val)
 
 

@@ -39,6 +39,7 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+EXACT_TERMS_CAP = 512  # eta_partial sums 1/n exactly up to this many terms
 
 
 class QuadratureError(RuntimeError):
@@ -348,14 +349,13 @@ class EtaReport:
 
 
 def eta_partial(family: SubsetFamily, max_terms: int,
-                cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False,
-                exact_cap: int = 512) -> EtaReport:
+                cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False) -> EtaReport:
     """Partial sums of eta terms over the first max_terms elements of X.
 
     Finite families may exhaust before max_terms (not an error).  The fast
     path uses the closed form i/(pi n) per term and accumulates an exact
-    coefficient up to ``exact_cap`` terms; audit mode runs full quadrature
-    per term and reports the per-term error estimates.
+    coefficient up to ``EXACT_TERMS_CAP`` terms; audit mode runs full
+    quadrature per term and reports the per-term error estimates.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
@@ -378,7 +378,7 @@ def eta_partial(family: SubsetFamily, max_terms: int,
         partial.append((count, acc))
     count = len(elements)
     exact = None
-    if not audit and count <= exact_cap:
+    if not audit and count <= EXACT_TERMS_CAP:
         exact = CircleExact(sum((Fraction(1, n) for n in elements), Fraction(0)))
     if count == 0:
         exact = CircleExact(Fraction(0))

@@ -37,6 +37,7 @@ LENS_N_CAP = 127
 LENS_WEIGHTS_CAP = 8
 TERMS_CAP = 1_000_000
 AUDIT_TERMS_CAP = 64  # an audit term takes about a second; 64 errors are shown
+GROUP_ORDER_CAP = 256  # a cyclic:N table holds N^2 entries; table:PATH checks in O(n^3)
 
 
 def _check_cap(what: str, value: int, cap: int) -> None:
@@ -69,10 +70,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_group(token: str):
     if token.startswith("cyclic:"):
-        return FiniteGroup.cyclic(int(token.split(":", 1)[1]))
+        order = int(token.split(":", 1)[1])
+        _check_cap("group order", order, GROUP_ORDER_CAP)
+        return FiniteGroup.cyclic(order)
     if token.startswith("table:"):
-        path = Path(token.split(":", 1)[1])
-        return FiniteGroup.from_json(json.loads(path.read_text()))
+        data = json.loads(Path(token.split(":", 1)[1]).read_text())
+        if not isinstance(data, dict) or not isinstance(data.get("elements"), list):
+            raise ValueError(f"{token}: expected a JSON object with an 'elements' list")
+        _check_cap("group order", len(data["elements"]), GROUP_ORDER_CAP)
+        return FiniteGroup.from_json(data)
     raise UsageError(f"unknown group descriptor {token!r} (use cyclic:N or table:PATH)")
 
 

@@ -1,21 +1,25 @@
-"""Exact rank computation over Q(zeta_n), certified modulo a prime first.
+"""Exact rank over Q(zeta_n), proven by ranks modulo prime ideals.
 
 Rows may mix orders; everything lives in Q(zeta_N) for the common order N.
+Scaling a row by the lcm of its denominators leaves the rank unchanged and
+puts every entry a in Z[zeta_N] (``_integral_row``).
 
-Certificate.  Let p be the least prime p = 1 (mod N) above 2^31 and w a
-primitive N-th root of unity mod p.  Then zeta_N -> w is a ring map from the
-values of Q(zeta_N) whose power-basis denominators are prime to p onto F_p:
-w is a root of Phi_N mod p, and the power basis spans the ring of integers.
-Every minor that vanishes over Q(zeta_N) maps to zero, so the rank of the
-image mod p is a lower bound for the true rank.  When it reaches
-min(rows, cols), which bounds the rank from above, the rank is proven.  The
-elimination mod p works on plain ints.
+Ideals.  For a prime p = 1 (mod N) and a primitive N-th root of unity w mod
+p, zeta_N -> w maps Z[zeta_N] onto F_p with kernel the prime ideal
+P = (p, zeta_N - w) of norm p; the phi(N) roots w^u, gcd(u, N) = 1, give the
+phi(N) distinct ideals above p (``_prime_ideals``, every p above 2^31).  A
+vanishing minor maps to zero, so the rank mod P is at most the rank r, and
+it is r unless P contains every r x r minor.
 
-Fallback.  When the rank mod p falls short, or p divides a denominator, the
-rank comes from Gaussian elimination over Q(zeta_N) (``_echelon_rank``).  It
-stops at row echelon form: each pivot clears only the rows below it, which
-is all a rank needs, and costs one field inverse (the pivot's).  No pivoting
-heuristics are needed since the arithmetic is exact.
+Bound.  Let D be a nonzero r x r minor.  Every embedding sigma has
+|sigma(a)| <= ||a||_1, the sum of the |coefficients| of a, so Hadamard's
+inequality on each conjugate of D gives
+|Norm(D)| <= prod_i (sum_j ||a_ij||_1^2)^(phi(N)/2) < 2^bits
+(``_norm_bound_bits``).  Distinct ideals P_1..P_m that all contain D divide
+(D), so p_1 ... p_m divides Norm(D) and 31 m < bits.  Hence once
+31 m >= bits, one of the first m ideals misses D, and the largest rank seen
+is r.  Full rank, min(rows, cols), is an upper bound and returns at once;
+the bound is worked out only when the first ideal falls short.
 
 This is the modular approach to linear algebra of von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 5.
@@ -25,19 +29,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from sympy import isprime, primefactors
 
-from .cyclotomic import CyclotomicValue
+from .cyclotomic import CyclotomicValue, euler_phi
 
 
 @lru_cache(maxsize=None)
-def _prime_and_root(order: int) -> tuple[int, int]:
-    """Least prime p = 1 (mod order) above 2^31 and a primitive order-th
-    root of unity mod p."""
-    p = 2 ** 31 // order * order + 1
-    while p <= 2 ** 31 or not isprime(p):
+def _prime_and_root(order: int, above: int = 2 ** 31) -> tuple[int, int]:
+    """Least prime p = 1 (mod order) above ``above`` and a primitive
+    order-th root of unity mod p."""
+    p = above // order * order + 1
+    while p <= above or not isprime(p):
         p += order
     g = 2
     while True:
@@ -47,46 +51,58 @@ def _prime_and_root(order: int) -> tuple[int, int]:
         g += 1
 
 
+def _prime_ideals(order: int):
+    """The ideals (p, zeta_order - w) as pairs (p, w): the primes
+    p = 1 (mod order) above 2^31 in increasing order, each with its phi(order)
+    primitive roots w."""
+    p = 2 ** 31
+    while True:
+        p, w = _prime_and_root(order, p)
+        for u in range(1, order + 1):
+            if gcd(u, order) == 1:
+                yield p, pow(w, u, p)
+
+
+def _integral_row(row) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The row times the lcm of its denominators, each entry as its order d
+    and its nonzero integer coefficients (power of zeta_d, coefficient)."""
+    entries = [(v.order, v.coefficients) if isinstance(v, CyclotomicValue)
+               else (1, (Fraction(v),)) for v in row]
+    terms = [[(i, c) for i, c in enumerate(coeffs) if c] for _, coeffs in entries]
+    scale = lcm(*{c.denominator for entry in terms for _, c in entry})
+    return [(d, [(i, c.numerator * (scale // c.denominator)) for i, c in entry])
+            for (d, _), entry in zip(entries, terms)]
+
+
+def _norm_bound_bits(rows, order: int) -> int:
+    """bits with |Norm(D)| < 2^bits for every minor D of the integral rows."""
+    return euler_phi(order) * sum(
+        max(1, sum(sum(abs(c) for _, c in terms) ** 2 for _, terms in row)).bit_length()
+        for row in rows) // 2 + 1
+
+
 class _EchelonModP:
-    """Row echelon form mod p, built one row at a time, of rows with entries
-    in Q(zeta_order) (orders dividing ``order``) or Q."""
+    """Row echelon form modulo the ideal (p, zeta_order - root), built one
+    integral row at a time; entry orders must divide ``order``."""
 
-    def __init__(self, order: int) -> None:
-        self.order = order
-        self.p, self.root = _prime_and_root(order)
-        self.powers: dict[int, list[int]] = {}  # order d -> powers of w^(order/d)
+    def __init__(self, order: int, p: int, root: int) -> None:
+        self.order, self.p, self.root = order, p, root
+        self.powers: dict[int, list[int]] = {}  # order d -> powers of root^(order/d)
         self.pivots: dict[int, list[int]] = {}  # pivot column -> row, 1 there
-        self.failed = False
 
-    def _image(self, value) -> int | None:
-        if isinstance(value, CyclotomicValue):
-            d, coeffs = value.order, value.coefficients
-        else:
-            d, coeffs = 1, (Fraction(value),)
-        if self.order % d:
-            return None
-        p = self.p
+    def _image(self, entry) -> int:
+        d, terms = entry
         powers = self.powers.get(d)
         if powers is None:
-            z = pow(self.root, self.order // d, p)
-            powers = self.powers[d] = [pow(z, i, p) for i in range(len(coeffs))]
-        acc = 0
-        for c, z in zip(coeffs, powers):
-            if c:
-                if c.denominator % p == 0:
-                    return None
-                acc += c.numerator * pow(c.denominator, -1, p) * z
-        return acc % p
+            if self.order % d:
+                raise ValueError(f"an entry of order {d} is not in Q(zeta_{self.order})")
+            z = pow(self.root, self.order // d, self.p)
+            powers = self.powers[d] = [pow(z, i, self.p) for i in range(euler_phi(d))]
+        return sum([c * powers[i] for i, c in terms]) % self.p
 
-    def add(self, row) -> int | None:
-        """Add one row; the rank mod p so far, or None once an entry has
-        failed to map to F_p (no certificate is possible any more)."""
-        if self.failed:
-            return None
-        vec = [self._image(v) for v in row]
-        if None in vec:
-            self.failed = True
-            return None
+    def add(self, row) -> int:
+        """Add one integral row; the rank modulo the ideal so far."""
+        vec = [self._image(entry) for entry in row]
         p = self.p
         for col, pivot in self.pivots.items():
             c = vec[col]
@@ -99,52 +115,21 @@ class _EchelonModP:
         return len(self.pivots)
 
 
-def _lift_matrix(rows):
-    order = 1
-    lifted = []
-    for row in rows:
-        conv = [v if isinstance(v, CyclotomicValue) else CyclotomicValue.from_rational(v)
-                for v in row]
-        lifted.append(conv)
-        for v in conv:
-            order = lcm(order, v.order)
-    return [[v.lift(order) for v in row] for row in lifted]
-
-
-def _echelon_rank(rows) -> int:
-    """Rank by exact Gaussian elimination over Q(zeta_N)."""
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    mat = _lift_matrix(rows)
-    n_rows, n_cols = len(mat), len(mat[0])
-    pivot_row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(pivot_row, n_rows) if not mat[r][col].is_zero()), None)
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        # entries left of col are zero in every row from pivot_row down
-        inv = mat[pivot_row][col].inverse()
-        head = [v * inv for v in mat[pivot_row][col:]]
-        for r in range(pivot_row + 1, n_rows):
-            factor = mat[r][col]
-            if not factor.is_zero():
-                mat[r][col:] = [a - factor * b for a, b in zip(mat[r][col:], head)]
-        pivot_row += 1
-    return pivot_row
-
-
 def exact_rank(rows) -> int:
-    """Rank of a matrix with CyclotomicValue (or rational) entries: full rank
-    certified mod p, otherwise exact elimination."""
-    rows = [list(r) for r in rows]
+    """Rank of a matrix with CyclotomicValue (or rational) entries, proven
+    by its ranks modulo enough prime ideals (see the module docstring)."""
+    rows = [_integral_row(row) for row in rows]
     if not rows or not rows[0]:
         return 0
     full = min(len(rows), len(rows[0]))
-    echelon = _EchelonModP(lcm(*(v.order for row in rows for v in row
-                                 if isinstance(v, CyclotomicValue))))
-    for row in rows:
-        if echelon.add(row) == full:
-            return full
-    return _echelon_rank(rows)
+    order = lcm(*(d for row in rows for d, _ in row))
+    best = bits = 0
+    for used, ideal in enumerate(_prime_ideals(order), start=1):
+        echelon = _EchelonModP(order, *ideal)
+        for row in rows:
+            if echelon.add(row) == full:
+                return full
+        best = max(best, len(echelon.pivots))
+        bits = bits or _norm_bound_bits(rows, order)
+        if 31 * used >= bits:
+            return best

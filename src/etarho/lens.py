@@ -31,7 +31,7 @@ from math import gcd
 from .chars import (ClassFunction, FiniteGroup, RhoVector, VirtualRep,
                     class_space_basis, fourier_eta, pair_phi)
 from .cyclotomic import CyclotomicValue
-from .exactlinalg import _EchelonModP, exact_rank
+from .exactlinalg import _EchelonModP, _integral_row, _prime_and_root, exact_rank
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def _canonical_weights(n: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
-def weight_family(n: int, k: int, limit: int | None = None):
+def weight_family(n: int, k: int):
     """Sorted k-tuples of units mod n, deduplicated by symmetry, lex order."""
     units = [a for a in range(1, n) if gcd(a, n) == 1]
     seen = set()
@@ -116,8 +116,6 @@ def weight_family(n: int, k: int, limit: int | None = None):
             continue
         seen.add(canon)
         out.append(canon)
-        if limit is not None and len(out) >= limit:
-            break
     return out
 
 
@@ -175,11 +173,11 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
     Rows are lens spaces from ``weights_list`` (defaults to the full
     deduplicated family), columns the deterministic basis functions.
 
-    Each row goes into a row echelon form mod p as soon as it is built, and
-    the rows stop once its rank reaches the column count: the rank mod p is
-    a lower bound for the exact rank (see ``exactlinalg``) and the column
-    count an upper bound, so that rank is proven.  Otherwise the rank of all
-    the rows comes from ``exact_rank``.
+    Each row goes into a row echelon form modulo the first prime ideal of
+    ``exactlinalg`` as soon as it is built, and the rows stop once its rank
+    reaches the column count: a rank modulo an ideal is a lower bound for the
+    exact rank and the column count an upper bound, so that rank is proven.
+    Otherwise the rank of all the rows comes from ``exact_rank``.
     """
     if parity not in ("plus", "minus"):
         raise ValueError("parity must be 'plus' or 'minus'")
@@ -189,11 +187,11 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
         weights_list = weight_family(n, k)
     spaces = [LensSpace(n, weights) for weights in weights_list]  # validate all
     basis = class_space_basis(FiniteGroup.cyclic(n), parity)
-    echelon = _EchelonModP(n)
+    echelon = _EchelonModP(n, *_prime_and_root(n))
     rows = []
     for space in spaces:
         rho = lens_delocalized_rho(space, defect_scale)
         rows.append([pair_phi(f, rho) for f in basis])
-        if echelon.add(rows[-1]) == len(basis):
+        if echelon.add(_integral_row(rows[-1])) == len(basis):
             return len(basis)
     return exact_rank(rows)

@@ -568,11 +568,11 @@ def _conjugate_levels(group, h, radius: int, node_budget: int) -> list[set]:
     return levels
 
 
-def _class_levels(group, h, radius: int, radius_cap: int, node_budget: int) -> list[set]:
+def _class_levels(group, h, radius: int, node_budget: int) -> list[set]:
     """Level r holds the conjugates w h w^-1 first reached at |w| = r, each
     value once (for QSemidirect: see ``class_ball``)."""
-    if radius > radius_cap:
-        raise CapExceededError(f"radius {radius} above desk-scale cap {radius_cap}")
+    if radius > DESK_RADIUS_CAP:
+        raise CapExceededError(f"radius {radius} above desk-scale cap {DESK_RADIUS_CAP}")
     if radius < 0:
         raise ZooError("radius must be >= 0")
     if isinstance(group, Cyclic):
@@ -595,8 +595,7 @@ def _class_levels(group, h, radius: int, radius_cap: int, node_budget: int) -> l
     return out
 
 
-def class_ball(group, h, radius: int, radius_cap: int = DESK_RADIUS_CAP,
-               node_budget: int = DEFAULT_NODE_BUDGET) -> set:
+def class_ball(group, h, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> set:
     """{w h w^-1 : |w| <= radius} as a set of normal forms.
 
     For QSemidirect the word metric is the one of the ambient 3-generator
@@ -605,11 +604,10 @@ def class_ball(group, h, radius: int, radius_cap: int = DESK_RADIUS_CAP,
     (non-kernel base elements fall back to the ambient BFS, restricted to
     values in the base group).
     """
-    return set().union(*_class_levels(group, h, radius, radius_cap, node_budget))
+    return set().union(*_class_levels(group, h, radius, node_budget))
 
 
-def class_ball_rationals(group, q0, radius: int,
-                         radius_cap: int = DESK_RADIUS_CAP) -> set:
+def class_ball_rationals(group, q0, radius: int) -> set:
     """The rational-valued part of the conjugacy ball of (q0, 0), exactly.
 
     Valid for QSemidirect and HnnShift alike: by the Britton argument above,
@@ -617,25 +615,24 @@ def class_ball_rationals(group, q0, radius: int,
     base-group conjugator, so both groups give {m * q0} over the reachable
     multipliers.
     """
-    if radius > radius_cap:
-        raise CapExceededError(f"radius {radius} above desk-scale cap {radius_cap}")
+    if radius > DESK_RADIUS_CAP:
+        raise CapExceededError(f"radius {radius} above desk-scale cap {DESK_RADIUS_CAP}")
     if not isinstance(group, (QSemidirect, HnnShift)):
         raise ZooError("class_ball_rationals applies to qsemidirect/hnn only")
     q0 = Fraction(q0)
     return {m * q0 for m in set().union(*multiplier_levels(radius))}
 
 
-def class_ball_counts(group, h, max_radius: int, radius_cap: int = DESK_RADIUS_CAP,
+def class_ball_counts(group, h, max_radius: int,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
     """Cumulative conjugate counts by radius (one BFS, all radii at once)."""
-    levels = _class_levels(group, h, max_radius, radius_cap, node_budget)
+    levels = _class_levels(group, h, max_radius, node_budget)
     return list(accumulate(len(level) for level in levels))
 
 
-def class_intersect_integers(group, radius: int,
-                             radius_cap: int = DESK_RADIUS_CAP) -> list[int]:
+def class_intersect_integers(group, radius: int) -> list[int]:
     """Integers found in the conjugacy class of 1 in Q, sorted ascending."""
-    rationals = class_ball_rationals(group, Fraction(1), radius, radius_cap)
+    rationals = class_ball_rationals(group, Fraction(1), radius)
     return sorted(int(q) for q in rationals if q.denominator == 1)
 
 
@@ -655,36 +652,35 @@ class GrowthReport:
                 "ratios": [round(r, 6) for r in self.ratios]}
 
 
-def growth_classify(group, h, max_radius: int, radius_cap: int = DESK_RADIUS_CAP,
-                    node_budget: int = DEFAULT_NODE_BUDGET,
-                    exp_ratio: float = 1.5, slope_tolerance: float = 0.25) -> GrowthReport:
+def growth_classify(group, h, max_radius: int,
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> GrowthReport:
     """Desk-scale growth estimate for the conjugacy class of h.
 
     Fits both a power law (log count vs log r) and an exponential (count
     ratios) on the outer half of the radii; the verdict is an estimate from
     finite data and is labelled as such, with raw counts always reported.
     """
-    counts = class_ball_counts(group, h, max_radius, radius_cap, node_budget)
+    counts = class_ball_counts(group, h, max_radius, node_budget)
     lo = max(max_radius // 2, 1)
     window = list(range(lo, max_radius + 1))
     ratios = tuple(counts[r] / counts[r - 1] for r in range(lo, max_radius + 1)
                    if counts[r - 1] > 0)
     log_counts = [np.log(counts[r]) for r in window]
-    # exponential: near-convex log-counts with per-step ratio >= exp_ratio
+    # exponential: near-convex log-counts with per-step ratio >= 1.5
     # (boundary effects make desk-scale log-counts dip slightly below convex)
     diffs = np.diff(log_counts)
     convex = bool(len(diffs) < 2 or np.all(np.diff(diffs) >= -0.05))
-    if ratios and convex and all(r >= exp_ratio for r in ratios):
+    if ratios and convex and all(r >= 1.5 for r in ratios):
         return GrowthReport("exponential", None, tuple(counts),
                             (lo, max_radius), ratios)
-    # polynomial: log-log slope stable across the two half-windows
+    # polynomial: log-log slope stable (within 0.25) across the two half-windows
     log_r = [np.log(r) for r in window]
     if len(window) >= 4:
         half = len(window) // 2
         s1 = np.polyfit(log_r[:half + 1], log_counts[:half + 1], 1)[0]
         s2 = np.polyfit(log_r[half:], log_counts[half:], 1)[0]
         s_all = np.polyfit(log_r, log_counts, 1)[0]
-        if abs(s1 - s2) <= slope_tolerance:
+        if abs(s1 - s2) <= 0.25:
             return GrowthReport("polynomial", float(s_all), tuple(counts),
                                 (lo, max_radius), ratios)
     elif len(set(counts)) == 1:

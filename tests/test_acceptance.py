@@ -6,6 +6,7 @@ own pass/fail line).  Criterion 11 exercises the CLI twice and compares the
 rendered bytes.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -50,3 +51,14 @@ def test_criterion_11_determinism(verify_output):
     status = "PASS" if identical else "FAIL"
     print(f"[{status}] criterion 11: verify JSON byte-identical across two runs")
     assert identical
+
+
+# sha256 of `etarho verify` stdout.  The digest depends on the floats that
+# sympy 1.14 and mpmath 1.3 print; any deliberate change of the output
+# updates it.
+VERIFY_STDOUT_SHA256 = "98157098350627ac686d7c96a88f40e5ffca42493bcec162795878bd3e459bca"
+
+
+def test_verify_stdout_digest(verify_output):
+    _, rendered, _ = verify_output
+    assert hashlib.sha256((rendered + "\n").encode()).hexdigest() == VERIFY_STDOUT_SHA256

@@ -196,8 +196,18 @@ class TestCliBehavior:
         (["circle", "--subset", "ap:1,1", "--terms", "65", "--audit"], False),
         (["circle", "--subset", f"finite:{','.join(map(str, range(1, 66)))}", "--audit"],
          False),
+        (["chars", "--group", "cyclic:257"], False),
+        (["chars", "--group", "cyclic:256"], True),
+        (["induce", "--sub", "cyclic:2", "--target", "cyclic:257", "--map", "0,2",
+          "--rho", "5,7"], False),
+        (["chars", "--group", "table:{z257}"], False),
     ])
-    def test_input_caps(self, argv, allowed, capsys):
+    def test_input_caps(self, argv, allowed, capsys, tmp_path):
+        z257 = tmp_path / "z257.json"
+        z257.write_text(json.dumps({"elements": list(range(257)),
+                                    "table": [[(a + b) % 257 for b in range(257)]
+                                              for a in range(257)]}))
+        argv = [arg.format(z257=z257) for arg in argv]
         assert main(argv) == (0 if allowed else 1)
         err = capsys.readouterr().err
         if allowed:
@@ -205,6 +215,14 @@ class TestCliBehavior:
         else:
             assert err.startswith("error: ") and "above the cap of" in err
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("table", [[1, 2], {"elements": 3}, "cyclic:3"])
+    def test_malformed_group_table_exits_1(self, table, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(table))
+        assert main(["chars", "--group", f"table:{path}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_word_ball_above_cap_exits_2(self, capsys):
         assert main(["zoo", "--group", "hnn", "--ball", "13"]) == 2

@@ -223,6 +223,21 @@ class TestMinimalPolynomialOracle:
             Fraction(int(c.p), int(c.q)) for c in reversed(expected))
 
 
+class TestEmbeddingOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([53, 64, 96]), st.sampled_from([1, 3, 5, 8, 12, 15]), st.data())
+    def test_matches_direct_sum(self, bits, n, data):
+        coeffs = data.draw(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=9),
+                                    min_size=1, max_size=n))
+        got = CyclotomicValue(n, coeffs).embed(bits)
+        with mpmath.workprec(4 * bits):
+            expected = sum((mpmath.mpf(c.numerator) / c.denominator
+                            * mpmath.expjpi(mpmath.mpf(2 * i) / n)
+                            for i, c in enumerate(coeffs)), mpmath.mpc(0))
+            error = abs(got - expected)
+            assert error <= mpmath.mpf(2) ** (8 - bits) * max(1, sum(abs(c) for c in coeffs))
+
+
 class TestSerialization:
     def test_json_roundtrip(self):
         v = zeta(5) - rat(Fraction(2, 3))

@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import gcd, lcm
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from etarho import exactlinalg
-from etarho.cyclotomic import CyclotomicValue, cyclotomic_polynomial
-from etarho.exactlinalg import _echelon_rank, _prime_and_root, exact_rank
+from etarho.cyclotomic import CyclotomicValue, cyclotomic_polynomial, euler_phi
+from etarho.exactlinalg import (_EchelonModP, _integral_row, _norm_bound_bits,
+                                _prime_and_root, _prime_ideals, exact_rank)
+from rank_oracle import _echelon_rank
 
 
 def random_rational_matrix(rng, n_rows, n_cols, rank, zero_cols):
@@ -83,16 +87,23 @@ def sympy_rank(rows):
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Records each call exact_rank makes to the exact elimination."""
-    calls = []
+def ideals(monkeypatch):
+    """Records the ideal (p, w) of each row echelon form exact_rank builds."""
+    used = []
 
-    def spy(rows):
-        calls.append(len(rows))
-        return _echelon_rank(rows)
+    class Spy(_EchelonModP):
+        def __init__(self, order, p, root):
+            used.append((p, root))
+            super().__init__(order, p, root)
 
-    monkeypatch.setattr(exactlinalg, "_echelon_rank", spy)
-    return calls
+    monkeypatch.setattr(exactlinalg, "_EchelonModP", Spy)
+    return used
+
+
+def bound_ideals(rows):
+    """ceil(bits / 31): the ideals exact_rank takes on a rank-deficient matrix."""
+    order = lcm(*(v.order for row in rows for v in row if isinstance(v, CyclotomicValue)))
+    return -(-_norm_bound_bits([_integral_row(row) for row in rows], order) // 31)
 
 
 def dependent_rows(rng, rows, count):
@@ -105,24 +116,25 @@ def dependent_rows(rng, rows, count):
 
 class TestModPCertificate:
     @pytest.mark.parametrize("n, shape", [(5, (3, 4)), (7, (4, 4)), (12, (4, 3)), (9, (2, 5))])
-    def test_full_rank_is_certified(self, n, shape, fallbacks):
+    def test_full_rank_is_certified(self, n, shape, ideals):
         rng = random.Random(n)
         rows = [[random_value(rng, n) for _ in range(shape[1])] for _ in range(shape[0])]
         rank = exact_rank(rows)
-        assert fallbacks == []
+        assert ideals == [_prime_and_root(n)]
         assert rank == min(shape) == _echelon_rank(rows) == sympy_rank(rows)
 
     @pytest.mark.parametrize("n", [5, 7, 12])
-    def test_rank_deficient_falls_back(self, n, fallbacks):
+    def test_rank_deficient_falls_back(self, n, ideals):
+        """A rank below min(rows, cols) takes ideals until they pass the bound."""
         rng = random.Random(100 + n)
         rows = [[random_value(rng, n) for _ in range(5)] for _ in range(2)]
         rows += list(dependent_rows(rng, rows, 2))
         rank = exact_rank(rows)
-        assert fallbacks == [4]
+        assert len(ideals) == bound_ideals(rows) > 1
         assert rank == 2 == _echelon_rank(rows) == sympy_rank(rows)
 
     @pytest.mark.parametrize("dependent", [False, True])
-    def test_mixed_orders(self, dependent, fallbacks):
+    def test_mixed_orders(self, dependent, ideals):
         z3, z4 = CyclotomicValue.root_of_unity(3), CyclotomicValue.root_of_unity(4)
         rows = [[z3, Fraction(1, 2), z4 + 1],
                 [z4, z3 * z3, Fraction(-3)]]
@@ -131,24 +143,26 @@ class TestModPCertificate:
         else:
             rows.append([Fraction(2), z4 - z3, CyclotomicValue.root_of_unity(6)])
         rank = exact_rank(rows)
-        assert fallbacks == ([3] if dependent else [])
+        assert len(ideals) == (bound_ideals(rows) if dependent else 1)
         assert rank == (2 if dependent else 3) == _echelon_rank(rows) == sympy_rank(rows)
 
     @pytest.mark.parametrize("n", [1, 5, 12])
-    def test_denominator_divisible_by_p_falls_back(self, n, fallbacks):
+    def test_denominator_divisible_by_p_falls_back(self, n, ideals):
+        """A 1/p entry is scaled away with its row, so one ideal still proves
+        full rank."""
         p, _ = _prime_and_root(n)
         rows = [[CyclotomicValue.root_of_unity(n, i + j) + i * j for j in range(3)]
                 for i in range(3)]
         rows[1][2] = CyclotomicValue(n, [Fraction(1, p)])
         rank = exact_rank(rows)
-        assert fallbacks == [3]
-        assert rank == _echelon_rank(rows) == sympy_rank(rows)
+        assert len(ideals) == 1
+        assert rank == 3 == _echelon_rank(rows) == sympy_rank(rows)
 
     def test_value_outside_the_field_ends_the_certificate(self):
-        echelon = exactlinalg._EchelonModP(5)
-        assert echelon.add([CyclotomicValue.root_of_unity(5), 1]) == 1
-        assert echelon.add([CyclotomicValue.root_of_unity(3), 1]) is None
-        assert echelon.add([1, 0]) is None
+        echelon = _EchelonModP(5, *_prime_and_root(5))
+        assert echelon.add(_integral_row([CyclotomicValue.root_of_unity(5), 1])) == 1
+        with pytest.raises(ValueError):
+            echelon.add(_integral_row([CyclotomicValue.root_of_unity(3), 1]))
 
     def test_prime_and_root_for_orders_1_to_96(self):
         for order in range(1, 97):
@@ -157,3 +171,103 @@ class TestModPCertificate:
             assert not any(sympy.isprime(q) for q in range(p - order, 2 ** 31, -order))
             assert pow(w, order, p) == 1
             assert all(pow(w, order // q, p) != 1 for q in sympy.primefactors(order))
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 12, 31])
+    def test_prime_ideals(self, order):
+        """Primes p = 1 (mod order) above 2^31 in increasing order, with no
+        such prime skipped, each with phi(order) distinct primitive roots."""
+        phi = euler_phi(order)
+        ideals = list(islice(_prime_ideals(order), 3 * phi))
+        assert ideals[0] == _prime_and_root(order)
+        primes = [p for p, _ in ideals[::phi]]
+        assert primes == sorted(set(primes)) and primes[0] > 2 ** 31
+        for p, q in zip(primes, primes[1:]):
+            assert not any(sympy.isprime(r) for r in range(p + order, q, order))
+        for p in primes:
+            roots = [w for q, w in ideals if q == p]
+            assert len(set(roots)) == len(roots) == phi
+            assert sympy.isprime(p) and (p - 1) % order == 0
+            for w in roots:
+                assert pow(w, order, p) == 1
+                assert all(pow(w, order // q, p) != 1 for q in sympy.primefactors(order))
+
+
+class TestIdealCount:
+    """Matrices whose rank one ideal, or the first few, get wrong."""
+
+    def test_entry_p_at_order_1(self, ideals):
+        p, _ = _prime_and_root(1)
+        assert exact_rank([[1, 0], [0, p]]) == 2
+        assert [q for q, _ in ideals] == [p, _prime_and_root(1, p)[0]]
+
+    @pytest.mark.parametrize("n", [3, 5, 12])
+    def test_entry_p_lies_in_every_ideal_above_p(self, n, ideals):
+        p, _ = _prime_and_root(n)
+        assert exact_rank([[CyclotomicValue.root_of_unity(n), 0], [0, p]]) == 2
+        assert len(ideals) == euler_phi(n) + 1
+        assert ideals[-1] == _prime_and_root(n, p)
+
+    def test_entry_lies_in_the_first_ideal_only(self, ideals):
+        p, w = _prime_and_root(5)
+        assert exact_rank([[CyclotomicValue.root_of_unity(5) - w, 0], [0, 1]]) == 2
+        assert len(ideals) == 2
+
+    def test_rank_is_the_largest_seen_not_the_last(self, ideals):
+        # zeta - w lies only in the ideal of the root w; take the w of the last
+        # ideal the bound asks for, so that ideal alone sees rank 0
+        first = list(islice(_prime_ideals(5), 8))
+        for k, (_, w) in enumerate(first, start=1):
+            rows = [[CyclotomicValue.root_of_unity(5) - w, 0, 0], [0, 0, 0]]
+            if k > 1 and bound_ideals(rows) == k:
+                break
+        assert bound_ideals(rows) == k
+        assert exact_rank(rows) == 1
+        assert ideals == first[:k]
+
+    def test_deficient_ranks_run_no_field_inverse(self, monkeypatch):
+        rng = random.Random(7)
+        rows = [[random_value(rng, 7) for _ in range(4)] for _ in range(2)]
+        rows += list(dependent_rows(rng, rows, 2))
+        rows.append([Fraction(1, 3), CyclotomicValue.root_of_unity(7), 0, 0])
+        expected = _echelon_rank(rows)
+        calls = []
+        monkeypatch.setattr(CyclotomicValue, "inverse", lambda self: calls.append(self))
+        assert exact_rank(rows) == expected == 3
+        assert calls == []
+
+
+def integral_values(order):
+    return st.lists(st.integers(-20, 20), min_size=1, max_size=euler_phi(order)).map(
+        lambda coeffs: CyclotomicValue(order, coeffs))
+
+
+@st.composite
+def integral_matrices(draw):
+    order = draw(st.sampled_from([1, 3, 4, 5, 7, 8, 12]))
+    size = draw(st.integers(2, 3))
+    orders = [d for d in range(1, order + 1) if order % d == 0]
+    return [[draw(st.sampled_from(orders).flatmap(integral_values)) for _ in range(size)]
+            for _ in range(size)]
+
+
+def determinant(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(((-1) ** j * rows[0][j] * determinant([row[:j] + row[j + 1:] for row in rows[1:]])
+                for j in range(len(rows))), CyclotomicValue.zero())
+
+
+class TestNormBound:
+    @settings(max_examples=40, deadline=None)
+    @given(integral_matrices())
+    def test_norm_of_determinant_is_below_the_bound(self, rows):
+        order = lcm(*(v.order for row in rows for v in row))
+        det = determinant(rows).lift(order)
+        norm = CyclotomicValue.one(order)
+        for u in range(1, order + 1):
+            if gcd(u, order) == 1:
+                norm = norm * det.galois(u)
+        norm = norm.as_rational()
+        assert norm.denominator == 1
+        bits = _norm_bound_bits([_integral_row(row) for row in rows], order)
+        assert abs(norm) < 2 ** bits

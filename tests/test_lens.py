@@ -7,11 +7,12 @@ from etarho.chars import (FiniteGroup, class_space_basis, l2_twist, pair_phi,
                           rank_plus, regular_rep, trivial_rep)
 from etarho.cyclotomic import CyclotomicValue
 from etarho import lens
-from etarho.exactlinalg import _echelon_rank, exact_rank
+from etarho.exactlinalg import exact_rank
 from etarho.lens import (LensSpace, NotFound, lens_delocalized_rho,
                          lens_twisted_rho, search_nonvanishing, span_rank,
                          weight_family)
 from etarho.rho import rho2_from_delocalized, ring_from_orders
+from rank_oracle import _echelon_rank
 
 
 def rat(q):
@@ -251,6 +252,16 @@ class TestSpanRankEarlyStop:
 
     def test_n13_reaches_rank_plus(self):
         assert span_rank(13, "plus", 4) == rank_plus(FiniteGroup.cyclic(13)) == 6
+
+    def test_deficient_rank_runs_no_field_inverse(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(CyclotomicValue, "inverse", lambda self: calls.append(self))
+        assert span_rank(7, "plus", 2) == 2
+        assert calls == []
+
+    def test_n31_k2_rank_below_rank_plus(self):
+        # 16 rows, 15 columns, rank 12: the ideals pass a bound of thousands of bits
+        assert span_rank(31, "plus", 2) == 12 < rank_plus(FiniteGroup.cyclic(31)) == 15
 
 
 class TestWeightFamily:
