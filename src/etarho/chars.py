@@ -43,11 +43,12 @@ class FiniteGroup:
 
     def __init__(self, labels, table, name: str = "group", validate: bool = True):
         self.labels = tuple(str(x) for x in labels)
-        self.table = tuple(tuple(row) for row in table)
         self.name = name
         n = len(self.labels)
         if validate:
-            self._validate(n)
+            self._validate(table, n)
+        else:
+            self.table = tuple(tuple(row) for row in table)
         self.identity = self._find_identity(n)
         self._inverse = tuple(self._find_inverse(i, n) for i in range(n))
         classes = self._conjugacy_classes(n)
@@ -85,13 +86,19 @@ class FiniteGroup:
             data = json.loads(data)
         return cls(data["elements"], data["table"], name=data.get("name", "table"))
 
-    def _validate(self, n: int) -> None:
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+    def _validate(self, table, n: int) -> None:
+        """Check that ``table`` is an n x n group table and store it."""
+        if (not isinstance(table, (list, tuple)) or len(table) != n
+                or any(not isinstance(row, (list, tuple)) or len(row) != n
+                       for row in table)):
             raise GroupTableError("table must be n x n")
-        for row in self.table:
+        for row in table:
             for v in row:
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise GroupTableError(f"table entry {v!r} is not an integer")
                 if not (0 <= v < n):
                     raise GroupTableError(f"table entry {v} out of range")
+        self.table = tuple(tuple(row) for row in table)
         if self._find_identity(n) is None:
             raise GroupTableError("no two-sided identity")
         e = self._find_identity(n)

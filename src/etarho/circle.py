@@ -14,6 +14,7 @@ rules, never by the size of floating partial sums.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +41,9 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 EXACT_TERMS_CAP = 512  # eta_partial sums 1/n exactly up to this many terms
+# the factors of CircleExact.to_complex() for pi_power = -1, i_power = 1
+_INV_PI = math.pi ** -1
+_UNIT_I = 1j ** 1
 
 
 class QuadratureError(RuntimeError):
@@ -91,6 +95,16 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
     x-integral has a constant integrand; by default it is evaluated by a
     midpoint rule (exact here), in audit mode by full quadrature, and
     ``order`` picks which integral is the outer one (Fubini check).
+
+    Every quadrature node is visited, but the integrand reads x only through
+    the computed d = (x + n) - x, so where x varies (audit and ``x_then_t``)
+    one call memoizes it on (d, t) at the working precision.  Equal keys are
+    bitwise-equal inputs to the same floating-point operations, so a hit
+    returns the very value a fresh evaluation would.  Likewise the inner
+    s-quadrature of ``x_then_t`` is a pure function of the integrand values,
+    hence of d at the precision the integrand runs at, and is memoized on
+    that d.  Both memos live and die with the call.  An audit term at n = 45
+    asks for 10,614 integrand values at 266 distinct (d, t).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -99,9 +113,16 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
     with mpmath.workprec(cfg.precision_bits):
         nn = mpmath.mpf(n)
         inv_sqrt_pi = 1 / mpmath.sqrt(mpmath.pi)
+        values = {}
 
         def t_integrand_at(x, t):
             return inv_sqrt_pi * _kernel_mp(x + nn, x, t) / mpmath.sqrt(t)
+
+        def t_integrand_memo(x, t):
+            key = ((x + nn) - x, t, mpmath.mp.prec)
+            if key not in values:
+                values[key] = t_integrand_at(x, t)
+            return values[key]
 
         def t_of_s(s):
             return nn * nn / (4 * s)
@@ -118,7 +139,7 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
             if audit:
                 def outer(s):
                     t = t_of_s(s)
-                    inner, _ = mpmath.quad(lambda x: t_integrand_at(x, t), [0, 1],
+                    inner, _ = mpmath.quad(lambda x: t_integrand_memo(x, t), [0, 1],
                                            error=True)
                     return inner * jacobian(s)
             else:
@@ -128,10 +149,17 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
             val, err = _quad_with_tolerance(outer, interval, cfg,
                                             f"eta_term(n={n})")
         else:
+            t_integrals = {}
+
             def t_integral(x):
-                f = lambda s: t_integrand_at(x, t_of_s(s)) * jacobian(s)
-                v, _ = mpmath.quad(f, interval, error=True)
-                return v
+                # mpmath.quad evaluates its integrand 20 bits above the
+                # caller's precision; that is where t_integrand_memo computes d
+                with mpmath.extraprec(20):
+                    key = (x + nn) - x
+                if key not in t_integrals:
+                    f = lambda s: t_integrand_memo(x, t_of_s(s)) * jacobian(s)
+                    t_integrals[key], _ = mpmath.quad(f, interval, error=True)
+                return t_integrals[key]
             val, err = _quad_with_tolerance(t_integral, [0, 1], cfg,
                                             f"eta_term(n={n}, x outer)")
         return complex(val)
@@ -353,37 +381,33 @@ def eta_partial(family: SubsetFamily, max_terms: int,
     """Partial sums of eta terms over the first max_terms elements of X.
 
     Finite families may exhaust before max_terms (not an error).  The fast
-    path uses the closed form i/(pi n) per term and accumulates an exact
+    path uses the closed form i/(pi n) per term, bit for bit the value of
+    ``closed_form_term(n).to_complex()``, and accumulates an exact
     coefficient up to ``EXACT_TERMS_CAP`` terms; audit mode runs full
     quadrature per term and reports the per-term error estimates.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    elements = []
-    for n in family.iter_elements():
-        if len(elements) >= max_terms:
-            break
-        elements.append(n)
-    if audit:
-        terms = [eta_term(n, cfg, audit=True) for n in elements]
-        errors = [abs(t - closed_form_term(n).to_complex())
-                  for n, t in zip(elements, terms)]
-    else:
-        terms = [closed_form_term(n).to_complex() for n in elements]
-        errors = [0.0] * len(elements)
-    partial = []
+    head, partial, errors = [], [], []  # head: the elements an exact sum may need
     acc = 0j
-    for count, term in enumerate(terms, start=1):
+    count = 0
+    for count, n in enumerate(itertools.islice(family.iter_elements(), max_terms), 1):
+        if audit:
+            term = eta_term(n, cfg, audit=True)
+            errors.append(abs(term - closed_form_term(n).to_complex()))
+        else:
+            term = complex(1 / n) * _INV_PI * _UNIT_I
         acc += term
         partial.append((count, acc))
-    count = len(elements)
+        if count <= EXACT_TERMS_CAP:
+            head.append(n)
     exact = None
     if not audit and count <= EXACT_TERMS_CAP:
-        exact = CircleExact(sum((Fraction(1, n) for n in elements), Fraction(0)))
+        exact = CircleExact(sum((Fraction(1, n) for n in head), Fraction(0)))
     if count == 0:
         exact = CircleExact(Fraction(0))
     return EtaReport(family, classify_convergence(family), tuple(partial),
-                     tuple(errors), exact, count, not audit)
+                     tuple(errors) if audit else (0.0,) * count, exact, count, not audit)
 
 
 def product_with_ahat(value, ahat):

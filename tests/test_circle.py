@@ -1,12 +1,18 @@
+import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from etarho.circle import (CircleExact, QuadratureConfig, QuadratureError,
-                           SubsetFamily, SubsetFamilyError,
+from circle_oracle import eta_partial_reference, eta_term_reference
+from etarho import circle
+from etarho.circle import (EXACT_TERMS_CAP, CircleExact, QuadratureConfig,
+                           QuadratureError, SubsetFamily, SubsetFamilyError,
                            classify_convergence, closed_form_term, eta_partial,
                            eta_term, kernel_value, product_with_ahat)
+from etarho.cli import main
 
 # frozen via symbolic differentiation of the Gaussian heat kernel:
 # kernel(x - y = 1, t = 1/4) = 2 exp(-1) / sqrt(pi) * i
@@ -60,6 +66,70 @@ class TestEtaTerm:
             eta_term(1, cfg)
         partial = complex(info.value.partial)
         assert abs(partial - 1j / math.pi) < 1e-6
+
+
+class TestEtaTermMemos:
+    """The audit and Fubini quadratures evaluate each distinct argument once
+    and still return the bytes of the unmemoized code."""
+
+    # repr of the unmemoized terms, and the number of distinct (d, t,
+    # precision) at which they evaluated the kernel (mpmath 1.3)
+    PINNED = [(4, {"audit": True}, "0.07957747154594767j", 712),
+              (45, {"audit": True}, "0.007073553026306459j", 266),
+              (4, {"order": "x_then_t"}, "0.07957747154594767j", 624),
+              (45, {"order": "x_then_t"}, "0.007073553026306459j", 280)]
+
+    @pytest.mark.parametrize("n, kwargs, value, distinct", PINNED)
+    def test_kernel_once_per_distinct_argument(self, n, kwargs, value, distinct,
+                                               monkeypatch):
+        calls = []
+        kernel = circle._kernel_mp
+
+        def spy(x, y, t):
+            calls.append((x - y, t, mpmath.mp.prec))
+            return kernel(x, y, t)
+
+        monkeypatch.setattr(circle, "_kernel_mp", spy)
+        assert repr(eta_term(n, **kwargs)) == value
+        assert len(calls) == len(set(calls)) == distinct  # 10,614 calls unmemoized
+
+    @pytest.mark.parametrize("n", [4, 45])
+    def test_fubini_runs_two_quadratures(self, n, monkeypatch):
+        # every outer x node has d = n at the inner quadrature's precision
+        # (at n = 4, not at the outer one), so one inner quadrature serves all
+        quad, calls = mpmath.quad, []
+        monkeypatch.setattr(mpmath, "quad", lambda *a, **k: calls.append(1) or quad(*a, **k))
+        eta_term(n, order="x_then_t")
+        assert len(calls) == 2  # 60 unmemoized
+
+    def test_quad_evaluates_twenty_bits_up(self):
+        # x_then_t keys its inner quadratures on d computed 20 bits above the
+        # outer integrand's precision, where the inner integrand computes it
+        seen = set()
+        with mpmath.workprec(100):
+            mpmath.quad(lambda x: seen.add(mpmath.mp.prec) or x, [0, 1])
+        assert seen == {120}
+
+    def test_audit_report_matches_reference(self):
+        family = SubsetFamily.finite([45, 64])
+        report = eta_partial(family, 2, audit=True)
+        expected = eta_partial_reference(family, 2, audit=True)
+        assert report == expected
+        assert repr(report.partial_sums) == repr(expected.partial_sums)
+        assert repr(report.per_term_errors) == repr(expected.per_term_errors)
+
+    def test_memo_exact_under_a_kernel_sensitive_to_d(self, monkeypatch):
+        # at n = 64 the audit's computed d is 64 at some x nodes and one ulp
+        # below at others; a kernel that magnifies that ulp to a quarter makes
+        # a memo keyed on less than (d, t) show in the result.  At 24 working
+        # bits (64 inside the inner quadrature) the reference takes about 1 s
+        cfg = QuadratureConfig(abs_tol=1.0, rel_tol=1.0, precision_bits=24)
+        plain = eta_term(64, cfg, audit=True)
+        kernel = circle._kernel_mp
+        monkeypatch.setattr(circle, "_kernel_mp", lambda x, y, t: kernel(x, y, t)
+                            * (1 + mpmath.ldexp((x - y) - 64, 56)))
+        expected = eta_term_reference(64, cfg, audit=True)
+        assert repr(eta_term(64, cfg, audit=True)) == repr(expected) != repr(plain)
 
 
 class TestCircleExact:
@@ -161,6 +231,51 @@ class TestEtaPartial:
         assert not report.fast_path
         assert all(e < 1e-9 for e in report.per_term_errors)
         assert abs(report.final_value() - 1.5j / math.pi) < 1e-9
+
+
+class TestFastPath:
+    @staticmethod
+    def fast_term(n):
+        # a one-term partial sum is 0j + term, which is the term bit for bit
+        return eta_partial(SubsetFamily.finite([n]), 1).partial_sums[0][1]
+
+    def test_terms_match_closed_form(self):
+        for n in range(1, 10_001):
+            value, expected = self.fast_term(n), closed_form_term(n).to_complex()
+            assert value == expected and repr(value) == repr(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10 ** 15))
+    def test_large_terms_match_closed_form(self, n):
+        value, expected = self.fast_term(n), closed_form_term(n).to_complex()
+        assert value == expected and repr(value) == repr(expected)
+
+    @pytest.mark.parametrize("max_terms", [1, EXACT_TERMS_CAP - 1, EXACT_TERMS_CAP,
+                                           EXACT_TERMS_CAP + 1, 2000])
+    @pytest.mark.parametrize("family", [SubsetFamily.finite(range(3, 1500, 2)),
+                                        SubsetFamily.arithmetic(7, 3),
+                                        SubsetFamily.geometric(3),
+                                        SubsetFamily.primes()],
+                             ids=["finite", "ap", "geo", "primes"])
+    def test_report_matches_reference(self, family, max_terms):
+        report = eta_partial(family, max_terms)
+        expected = eta_partial_reference(family, max_terms)
+        assert report == expected
+        assert repr(report.partial_sums) == repr(expected.partial_sums)
+        assert repr(report.per_term_errors) == repr(expected.per_term_errors)
+        assert (report.exact is None) == (report.terms_used > EXACT_TERMS_CAP)
+
+    # sha256 of stdout, taken from the code before the memos and the one-pass sums
+    CLI_DIGESTS = [
+        (["circle", "--subset", "ap:41,3", "--terms", "4", "--audit"],
+         "30fca8d1ded3a162f15e982d610f3a31b33da5444450da8123c5eeb69295a183"),
+        (["circle", "--subset", "ap:7,3", "--terms", "100000"],
+         "3080c358a17488b6e6d345154937947f0cd70e4308570bf63505c2b38c1e8cd9")]
+
+    @pytest.mark.parametrize("argv, digest", CLI_DIGESTS)
+    def test_cli_stdout_digest(self, argv, digest, capsys):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestAhatMultiplier:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,18 @@ class TestInduce:
 
 
 class TestCliBehavior:
+    def test_python_dash_m_runs_from_a_checkout(self, capsys):
+        argv = ["circle", "--subset", "finite:1,2,3", "--terms", "3"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "etarho", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
+        bad = subprocess.run([sys.executable, "-m", "etarho", "frobnicate"], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert bad.returncode == 1 and bad.stderr.startswith("usage error: ")
+
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["lens", "--does-not-exist"]) == 1
         assert "usage" in capsys.readouterr().err
@@ -216,7 +232,11 @@ class TestCliBehavior:
             assert err.startswith("error: ") and "above the cap of" in err
             assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("table", [[1, 2], {"elements": 3}, "cyclic:3"])
+    @pytest.mark.parametrize("table", [
+        [1, 2], {"elements": 3}, "cyclic:3",
+        {"elements": [0, 1], "table": 5},
+        {"elements": [0, 1], "table": [[0, 1], [1]]},
+        {"elements": [0, 1], "table": [[0, "1"], [1, 0]]}])
     def test_malformed_group_table_exits_1(self, table, tmp_path, capsys):
         path = tmp_path / "group.json"
         path.write_text(json.dumps(table))

@@ -223,6 +223,27 @@ class TestMinimalPolynomialOracle:
             Fraction(int(c.p), int(c.q)) for c in reversed(expected))
 
 
+class TestCyclotomicPolynomialOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=300))
+    def test_matches_sympy(self, n):
+        x = sympy.Symbol("x")
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        phi = cyclotomic_polynomial(n)
+        assert phi == tuple(int(c) for c in reversed(expected))
+        assert all(type(c) is int for c in phi)
+        # x^n - 1 is the product of Phi_d over the divisors d of n
+        product = [1]
+        for d in sympy.divisors(n):
+            factor = cyclotomic_polynomial(d)
+            out = [0] * (len(product) + len(factor) - 1)
+            for i, a in enumerate(product):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            product = out
+        assert product == [-1] + [0] * (n - 1) + [1]
+
+
 class TestEmbeddingOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([53, 64, 96]), st.sampled_from([1, 3, 5, 8, 12, 15]), st.data())
