@@ -46,6 +46,8 @@ for idx, f in enumerate(class_space_basis(g7, "plus")):
     print(f"  kappa_{idx}: first witness {space} with pairing {value}")
 print("  span rank over dim-7 lens spaces:", span_rank(7, "plus", 4),
       " = rank_plus(cyclic:7) =", rank_plus(g7))
+print("  span rank over dim-7 lens spaces at n = 61:", span_rank(61, "plus", 4),
+      " = rank_plus(cyclic:61) =", rank_plus(FiniteGroup.cyclic(61)))
 
 print()
 print("== rationality of integer-character twists ==")

@@ -17,7 +17,7 @@ from itertools import permutations
 
 import mpmath
 
-from .cyclotomic import CyclotomicValue
+from .cyclotomic import CyclotomicValue, _zeta_powers
 
 
 def _as_value(v) -> CyclotomicValue:
@@ -443,12 +443,14 @@ def pair_phi(f: ClassFunction, rho: RhoVector):
 def r_plus_test_reps(n: int) -> list[VirtualRep]:
     """Spanning set of R^+_0(cyclic:n) tensor Q: chi_j + chi_-j - 2 chi_0."""
     group = FiniteGroup.cyclic(n)
-    chi0 = cyclic_irreducible_character(n, 0)
+    powers = _zeta_powers(n)
     reps = []
     for j in range(1, n // 2 + 1):
-        chi = cyclic_irreducible_character(n, j)
-        chi_neg = cyclic_irreducible_character(n, (n - j) % n)
-        vals = tuple(a + b - c - c
-                     for a, b, c in zip(chi.values, chi_neg.values, chi0.values))
-        reps.append(VirtualRep(group, ClassFunction(group, vals)))
+        vals = []
+        for h in range(n):
+            # zeta^(jh) + zeta^(-jh) - 2, summed on the integer rows
+            coeffs = [a + b for a, b in zip(powers[j * h % n], powers[-j * h % n])]
+            coeffs[0] -= 2
+            vals.append(CyclotomicValue(n, coeffs))
+        reps.append(VirtualRep(group, ClassFunction(group, tuple(vals))))
     return reps

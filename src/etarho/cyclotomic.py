@@ -57,6 +57,23 @@ def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
     return tuple(work)
 
 
+@lru_cache(maxsize=256)
+def _zeta_powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_n^e reduced mod Phi_n, for e = 0..n-1, as integer coefficient
+    tuples: x^(e+1) = x * x^e, folding x^phi(n) back with the monic Phi_n."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    power = [1] + [0] * (deg - 1)
+    powers = []
+    for _ in range(n):
+        powers.append(tuple(power))
+        top = power[-1]
+        power = [0] + power[:-1]
+        if top:
+            power = [c - top * f for c, f in zip(power, phi)]
+    return tuple(powers)
+
+
 class CyclotomicValue:
     """An exact element of Q(zeta_n).
 
@@ -101,9 +118,9 @@ class CyclotomicValue:
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> "CyclotomicValue":
         """zeta_order ** power, canonically reduced."""
-        power %= order
-        coeffs = [Fraction(0)] * power + [Fraction(1)]
-        return cls(order, coeffs)
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        return cls(order, _zeta_powers(order)[power % order])
 
     # -- order management ---------------------------------------------
 

@@ -66,12 +66,21 @@ def _prime_ideals(order: int):
 def _integral_row(row) -> list[tuple[int, list[tuple[int, int]]]]:
     """The row times the lcm of its denominators, each entry as its order d
     and its nonzero integer coefficients (power of zeta_d, coefficient)."""
-    entries = [(v.order, v.coefficients) if isinstance(v, CyclotomicValue)
-               else (1, (Fraction(v),)) for v in row]
-    terms = [[(i, c) for i, c in enumerate(coeffs) if c] for _, coeffs in entries]
-    scale = lcm(*{c.denominator for entry in terms for _, c in entry})
-    return [(d, [(i, c.numerator * (scale // c.denominator)) for i, c in entry])
-            for (d, _), entry in zip(entries, terms)]
+    entries, dens = [], set()
+    for v in row:
+        if isinstance(v, CyclotomicValue):
+            d, coeffs = v.order, v.coefficients
+        else:
+            d, coeffs = 1, (Fraction(v),)
+        terms = []
+        for i, c in enumerate(coeffs):
+            num, den = c.as_integer_ratio()  # one read of each coefficient
+            if num:
+                terms.append((i, num, den))
+                dens.add(den)
+        entries.append((d, terms))
+    scale = lcm(*dens)
+    return [(d, [(i, num * (scale // den)) for i, num, den in terms]) for d, terms in entries]
 
 
 def _norm_bound_bits(rows, order: int) -> int:
@@ -102,7 +111,10 @@ class _EchelonModP:
 
     def add(self, row) -> int:
         """Add one integral row; the rank modulo the ideal so far."""
-        vec = [self._image(entry) for entry in row]
+        return self.add_residues([self._image(entry) for entry in row])
+
+    def add_residues(self, vec: list[int]) -> int:
+        """Add one row already mapped into F_p; the rank so far."""
         p = self.p
         for col, pivot in self.pivots.items():
             c = vec[col]

@@ -14,6 +14,17 @@ because (zeta^x - 1) * sum_k k zeta^(k x) = n whenever zeta^x != 1.  These
 are the cotangent sums behind lens-space rho invariants (Atiyah, Patodi and
 Singer, Spectral asymmetry and Riemannian geometry II, 1975; Donnelly, 1978).
 
+Span ranks need no exact table.  Take a prime p = 1 (mod n) above 2^31 and w
+of order n mod p, and map zeta_n -> w as ``exactlinalg._EchelonModP`` does.
+Then w^x - 1 is a unit mod p for x != 0 (mod n), the factor sum above maps
+to n w^(h x) (w^x - 1)^-1, and so
+
+    rho_{g^j} -> scale n^-1 prod_l w^(h x_l) (w^(x_l) - 1)^-1  (mod p),
+
+which is the image of the exact entry whenever p divides neither n (p > n)
+nor the scale's denominator.  A rank of these F_p rows is therefore a lower
+bound for the exact rank; ``span_rank`` holds the proof and the fallback.
+
 The overall normalization against published eta tables is deliberately a
 configuration knob (``defect_scale``); everything this package asserts about
 the tables (parity under inversion, reality, rationality of twists, span
@@ -31,7 +42,7 @@ from math import gcd
 from .chars import (ClassFunction, FiniteGroup, RhoVector, VirtualRep,
                     class_space_basis, fourier_eta, pair_phi)
 from .cyclotomic import CyclotomicValue
-from .exactlinalg import _EchelonModP, _integral_row, _prime_and_root, exact_rank
+from .exactlinalg import _EchelonModP, _prime_and_root, exact_rank
 
 
 @dataclass(frozen=True)
@@ -105,18 +116,22 @@ def _canonical_weights(n: int, weights: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
+def _weight_tuples(n: int, k: int):
+    """``weight_family(n, k)``, one tuple at a time.
+
+    Sorted tuples come in lex order, so the first member of an orbit to come
+    up is its least, which is its canonical representative: a tuple opens a
+    new orbit exactly when it is its own representative.
+    """
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    for tup in combinations_with_replacement(units, k):
+        if _canonical_weights(n, tup) == tup:
+            yield tup
+
+
 def weight_family(n: int, k: int):
     """Sorted k-tuples of units mod n, deduplicated by symmetry, lex order."""
-    units = [a for a in range(1, n) if gcd(a, n) == 1]
-    seen = set()
-    out = []
-    for tup in combinations_with_replacement(units, k):
-        canon = _canonical_weights(n, tup)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(canon)
-    return out
+    return list(_weight_tuples(n, k))
 
 
 @dataclass(frozen=True)
@@ -155,7 +170,7 @@ def search_nonvanishing(n: int, parity: str, f: ClassFunction, k_range,
     for k in k_range:
         if not _check_parity_k(parity, k):
             continue
-        for weights in weight_family(n, k):
+        for weights in _weight_tuples(n, k):
             if tried >= weight_budget:
                 return NotFound(n, parity, tried)
             tried += 1
@@ -166,32 +181,82 @@ def search_nonvanishing(n: int, parity: str, f: ClassFunction, k_range,
     return NotFound(n, parity, tried)
 
 
+@lru_cache(maxsize=256)
+def _fp_factors(n: int, p: int, w: int) -> tuple[int, ...]:
+    """w^(h x) (w^x - 1)^-1 mod p for x = 0..n-1, h = (n+1)/2 (x = 0 unused)."""
+    h = (n + 1) // 2
+    return (0,) + tuple(pow(w, h * x, p) * pow(pow(w, x, p) - 1, -1, p) % p
+                        for x in range(1, n))
+
+
+def _fp_row(n: int, parity: str, weights: tuple[int, ...], scale: Fraction,
+            p: int, w: int) -> list[int]:
+    """The pairing row of L(n; weights) against the Class+-_0 basis, mapped
+    into F_p by zeta_n -> w through the closed form of the module docstring;
+    p must divide neither n nor the scale's denominator.
+
+    Column c = 1..(n-1)/2 (the order of ``class_space_basis``) is
+    rho(g^c) + rho(g^-c) for plus and rho(g^c) - rho(g^-c) for minus.
+    """
+    factors = _fp_factors(n, p, w)
+    lead = scale.numerator * pow(scale.denominator * n, -1, p) % p
+    rho = [0] * n
+    for j in range(1, n):
+        v = lead
+        for a in weights:
+            v = v * factors[j * a % n] % p
+        rho[j] = v
+    sign = 1 if parity == "plus" else -1
+    return [(rho[c] + sign * rho[n - c]) % p for c in range(1, (n + 1) // 2)]
+
+
 def span_rank(n: int, parity: str, k: int, weights_list=None,
               defect_scale=Fraction(1)) -> int:
     """Exact rank of the lens tables paired against the Class+-_0 basis.
 
     Rows are lens spaces from ``weights_list`` (defaults to the full
-    deduplicated family), columns the deterministic basis functions.
+    deduplicated family, taken lazily), columns the deterministic basis
+    functions, (n - 1)/2 of them since n is odd.
 
-    Each row goes into a row echelon form modulo the first prime ideal of
-    ``exactlinalg`` as soon as it is built, and the rows stop once its rank
-    reaches the column count: a rank modulo an ideal is a lower bound for the
-    exact rank and the column count an upper bound, so that rank is proven.
-    Otherwise the rank of all the rows comes from ``exact_rank``.
+    Rows are first built straight in F_p, (p, w) = ``_prime_and_root(n)``,
+    from the closed form of the module docstring (``_fp_row``), and stop as
+    soon as their rank there reaches the column count.  This is a proof:
+
+    - the exact row has entries in Q(zeta_n) whose denominators divide
+      n^(k+1) den(scale); p > 2^31 > n, so when p does not divide den(scale)
+      the ring map zeta_n -> w of ``_EchelonModP`` is defined on the row,
+      and it sends each factor sum_m m zeta^((m+h) x) to n w^(h x)/(w^x - 1),
+      w^x - 1 being a unit for x != 0 (mod n) since w has order n mod p;
+    - so the F_p row is the image of the exact row, a vanishing minor maps
+      to zero, and the rank in F_p is a lower bound for the exact rank;
+    - the column count is an upper bound, so reaching it proves the rank.
+
+    Otherwise, or when p divides the scale's denominator, the exact rows are
+    built and their rank comes from ``exact_rank``.
     """
     if parity not in ("plus", "minus"):
         raise ValueError("parity must be 'plus' or 'minus'")
     if not _check_parity_k(parity, k):
         raise ValueError(f"k={k} has the wrong parity for '{parity}'")
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n must be odd and >= 3, got {n}")
     if weights_list is None:
-        weights_list = weight_family(n, k)
-    spaces = [LensSpace(n, weights) for weights in weights_list]  # validate all
+        family = (LensSpace(n, weights) for weights in _weight_tuples(n, k))
+    else:
+        family = iter([LensSpace(n, weights) for weights in weights_list])  # validate all
+    scale = Fraction(defect_scale)
+    p, w = _prime_and_root(n)
+    spaces = []
+    if scale.denominator % p:
+        echelon = _EchelonModP(n, p, w)
+        for space in family:
+            spaces.append(space)
+            row = _fp_row(n, parity, space.weights, scale, p, w)
+            if echelon.add_residues(row) == (n - 1) // 2:
+                return (n - 1) // 2
     basis = class_space_basis(FiniteGroup.cyclic(n), parity)
-    echelon = _EchelonModP(n, *_prime_and_root(n))
     rows = []
-    for space in spaces:
-        rho = lens_delocalized_rho(space, defect_scale)
+    for space in spaces + list(family):  # the F_p loop took all or none of it
+        rho = lens_delocalized_rho(space, scale)
         rows.append([pair_phi(f, rho) for f in basis])
-        if echelon.add(_integral_row(rows[-1])) == len(basis):
-            return len(basis)
     return exact_rank(rows)

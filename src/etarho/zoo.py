@@ -42,7 +42,10 @@ class CapExceededError(ZooError):
 
 
 DESK_RADIUS_CAP = 12
-DEFAULT_NODE_BUDGET = 2_000_000
+# about 1 KB a node: `zoo --group hnn --ball 12` stops at radius 8 near 125 MB RSS
+DEFAULT_NODE_BUDGET = 100_000
+# the Z wr Z ball behind the multipliers has 294,585 nodes at the radius cap
+_WREATH_NODE_BUDGET = 300_000
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +167,7 @@ def _wreath_mul(a: tuple, b: tuple) -> tuple:
 def _lambda_levels(radius: int) -> tuple:
     """levels[r] = lambda-configs whose minimal Z-wr-Z word length is r."""
     gens = ((((0, 1),), 0), (((0, -1),), 0), ((), 1), ((), -1))
-    dist = _bfs(((), 0), gens, _wreath_mul, radius, DEFAULT_NODE_BUDGET)
+    dist = _bfs(((), 0), gens, _wreath_mul, radius, _WREATH_NODE_BUDGET)
     levels = [set() for _ in range(radius + 1)]
     for (config, shift), r in dist.items():
         if shift == 0:

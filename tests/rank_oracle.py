@@ -1,9 +1,16 @@
-"""Rank by exact Gaussian elimination over Q(zeta_N): the test oracle for
-``etarho.exactlinalg.exact_rank``."""
+"""The exact paths that the fast rank code replaced, kept as test oracles:
+Gaussian elimination over Q(zeta_N) for ``etarho.exactlinalg.exact_rank``,
+exact pairing rows for ``etarho.lens.span_rank``, the eager weight family,
+and the theta rows built as sums of characters."""
 
-from math import lcm
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import gcd, lcm
 
+from etarho.chars import (ClassFunction, FiniteGroup, VirtualRep, class_space_basis,
+                          pair_phi)
 from etarho.cyclotomic import CyclotomicValue
+from etarho.lens import LensSpace, _canonical_weights, lens_delocalized_rho
 
 
 def _lift_matrix(rows):
@@ -40,3 +47,49 @@ def _echelon_rank(rows) -> int:
                 mat[r][col:] = [a - factor * b for a, b in zip(mat[r][col:], head)]
         pivot_row += 1
     return pivot_row
+
+
+def pairing_rows(n, parity, weights_list, defect_scale=Fraction(1)):
+    """Exact rows: each lens table paired against the Class+-_0 basis."""
+    basis = class_space_basis(FiniteGroup.cyclic(n), parity)
+    return [[pair_phi(f, lens_delocalized_rho(LensSpace(n, w), defect_scale)) for f in basis]
+            for w in weights_list]
+
+
+def image_mod_p(value, n, p, w) -> int:
+    """An entry of Q(zeta_n) under zeta_n -> w, read from its Fraction
+    coefficients mod p."""
+    if not isinstance(value, CyclotomicValue):
+        value = CyclotomicValue.from_rational(value)
+    step = n // value.order
+    return sum(c.numerator * pow(c.denominator, -1, p) * pow(w, i * step, p)
+               for i, c in enumerate(value.coefficients)) % p
+
+
+def eager_weight_family(n, k):
+    """The weight family built in full, with a set of the orbits seen."""
+    units = [a for a in range(1, n) if gcd(a, n) == 1]
+    seen = set()
+    out = []
+    for tup in combinations_with_replacement(units, k):
+        canon = _canonical_weights(n, tup)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(canon)
+    return out
+
+
+def root_of_unity(n, e):
+    """zeta_n^e, reduced by the constructor from the monomial x^(e mod n)."""
+    return CyclotomicValue(n, [Fraction(0)] * (e % n) + [Fraction(1)])
+
+
+def r_plus_test_reps(n):
+    """chi_j + chi_-j - 2 chi_0 for j = 1..n/2, as sums of character values."""
+    group = FiniteGroup.cyclic(n)
+    reps = []
+    for j in range(1, n // 2 + 1):
+        vals = tuple(root_of_unity(n, j * h) + root_of_unity(n, -j * h)
+                     - root_of_unity(n, 0) - root_of_unity(n, 0) for h in range(n))
+        reps.append(VirtualRep(group, ClassFunction(group, vals)))
+    return reps

@@ -11,6 +11,7 @@ from etarho.chars import (ClassFunction, FiniteGroup, GroupTableError,
                           rank_plus, regular_rep, tau_orbits, trivial_rep)
 from etarho.cyclotomic import CyclotomicValue
 from etarho.exactlinalg import exact_rank
+import rank_oracle
 
 
 def rat(q):
@@ -251,6 +252,15 @@ class TestThetaInjectivity:
     def test_test_reps_live_in_R_plus_0(self):
         for rep in r_plus_test_reps(9):
             assert is_in_R0(rep, "plus")
+
+    def test_test_reps_match_character_sums(self):
+        for n in range(1, 41):
+            reps = r_plus_test_reps(n)
+            expected = rank_oracle.r_plus_test_reps(n)
+            assert [rep.group for rep in reps] == [rep.group for rep in expected]
+            for rep, ref in zip(reps, expected):
+                assert [(v.order, v.coefficients) for v in rep.character.values] == [
+                    (v.order, v.coefficients) for v in ref.character.values]
 
 
 class TestRhoVectorParity:

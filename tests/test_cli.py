@@ -248,6 +248,20 @@ class TestCliBehavior:
         assert main(["zoo", "--group", "hnn", "--ball", "13"]) == 2
         assert "desk-scale cap" in capsys.readouterr().err
 
+    def test_hnn_word_ball_stops_at_node_budget_in_bounded_memory(self, tmp_path):
+        # radius 12 is under the cap; the node budget stops it at radius 8
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        out, err = tmp_path / "out", tmp_path / "err"
+        with out.open("w") as fout, err.open("w") as ferr:
+            proc = subprocess.Popen([sys.executable, "-m", "etarho", "zoo", "--group", "hnn",
+                                     "--ball", "12"], env=env, stdout=fout, stderr=ferr)
+            _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak RSS
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 2 and out.read_text() == ""
+        message = err.read_text()
+        assert message.count("\n") == 1 and "node budget 100000 at radius 8" in message
+        assert usage.ru_maxrss < 300 * 1024  # KiB
+
     def test_determinism_byte_identical(self):
         a = run(["lens", "--n", "7", "--weights", "1,2,3"])[1]
         b = run(["lens", "--n", "7", "--weights", "1,2,3"])[1]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from etarho.cyclotomic import (CyclotomicValue, OrderMismatchError,
                                cyclotomic_polynomial, euler_phi)
+import rank_oracle
 
 
 def zeta(n, k=1):
@@ -26,6 +27,12 @@ class TestBasics:
 
     def test_root_of_unity_identity(self):
         assert zeta(3) * zeta(3, 2) == rat(1)
+
+    def test_root_of_unity_matches_reduced_monomial(self):
+        for n in range(1, 61):
+            for e in range(-n, 2 * n):
+                value, ref = zeta(n, e), rank_oracle.root_of_unity(n, e)
+                assert (value.order, value.coefficients) == (ref.order, ref.coefficients)
 
     def test_absorbing_zero(self):
         assert (rat(1) + zeta(5)) * rat(0) == rat(0)

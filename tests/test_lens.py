@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -7,12 +8,13 @@ from etarho.chars import (FiniteGroup, class_space_basis, l2_twist, pair_phi,
                           rank_plus, regular_rep, trivial_rep)
 from etarho.cyclotomic import CyclotomicValue
 from etarho import lens
-from etarho.exactlinalg import exact_rank
+from etarho.exactlinalg import _prime_and_root, exact_rank
 from etarho.lens import (LensSpace, NotFound, lens_delocalized_rho,
                          lens_twisted_rho, search_nonvanishing, span_rank,
                          weight_family)
 from etarho.rho import rho2_from_delocalized, ring_from_orders
-from rank_oracle import _echelon_rank
+from rank_oracle import (_echelon_rank, eager_weight_family, image_mod_p,
+                         pairing_rows)
 
 
 def rat(q):
@@ -204,12 +206,6 @@ class TestSpanRank:
             span_rank(5, "plus", 3)
 
 
-def pairing_rows(n, parity, weights_list):
-    basis = class_space_basis(FiniteGroup.cyclic(n), parity)
-    return [[pair_phi(f, lens_delocalized_rho(LensSpace(n, w))) for f in basis]
-            for w in weights_list]
-
-
 @pytest.fixture
 def exact_calls(monkeypatch):
     """Records each call span_rank makes to exact_rank."""
@@ -264,7 +260,76 @@ class TestSpanRankEarlyStop:
         assert span_rank(31, "plus", 2) == 12 < rank_plus(FiniteGroup.cyclic(31)) == 15
 
 
+@pytest.fixture
+def fp_calls(monkeypatch):
+    """Records each F_p row span_rank builds, and fails past 1000 rows: the
+    families at n = 127 would take hours to walk in full."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        assert len(calls) <= 1000, "span_rank built over 1000 F_p rows"
+        return fp_row(*args)
+
+    fp_row = lens._fp_row
+    monkeypatch.setattr(lens, "_fp_row", spy)
+    return calls
+
+
+@pytest.fixture
+def no_exact_rows(monkeypatch):
+    """Fails at once where span_rank would build exact rows."""
+    def refuse(*args):
+        raise AssertionError("span_rank took the exact path")
+
+    monkeypatch.setattr(lens, "lens_delocalized_rho", refuse)
+
+
+class TestFpRows:
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("scale", [Fraction(1), Fraction(3, 7), Fraction(-2)])
+    def test_row_is_the_image_of_the_exact_row(self, n, k, scale):
+        p, w = _prime_and_root(n)
+        family = weight_family(n, k)
+        weights_list = family[:2] + family[-1:]
+        for parity in ("plus", "minus"):
+            rows = pairing_rows(n, parity, weights_list, scale)
+            for weights, row in zip(weights_list, rows):
+                assert lens._fp_row(n, parity, weights, scale, p, w) == [
+                    image_mod_p(v, n, p, w) for v in row]
+
+    def test_scale_with_p_in_its_denominator_takes_the_exact_path(self, fp_calls,
+                                                                  exact_calls):
+        p, _ = _prime_and_root(5)
+        assert span_rank(5, "plus", 2, defect_scale=Fraction(1, p)) == 2
+        assert fp_calls == [] and exact_calls == [len(weight_family(5, 2))]
+        # a scale with p in its numerator only zeroes the F_p rows
+        assert span_rank(5, "plus", 2, defect_scale=p) == 2
+        assert len(fp_calls) == len(weight_family(5, 2)) and exact_calls[-1] == len(fp_calls)
+
+    def test_n9_k2_falls_short_and_runs_exact_rank(self, fp_calls, exact_calls):
+        rows = pairing_rows(9, "plus", weight_family(9, 2))
+        assert span_rank(9, "plus", 2) == _echelon_rank(rows) == 3 < 4
+        assert fp_calls == weight_family(9, 2) and exact_calls == [len(rows)]
+
+    @pytest.mark.parametrize("n, k, rank", [(127, 4, 63), (61, 6, 30)])
+    def test_full_rank_up_to_the_lens_cap(self, n, k, rank, fp_calls, no_exact_rows):
+        assert span_rank(n, "plus", k) == rank == rank_plus(FiniteGroup.cyclic(n))
+        # the family is taken lazily: its first rows only, at (127, 4) out of
+        # C(129, 4), about 11 M, sorted tuples
+        assert fp_calls == list(islice(lens._weight_tuples(n, k), len(fp_calls)))
+
+    def test_minus_pairs_reach_rank_minus(self, no_exact_rows):
+        assert span_rank(7, "minus", 3) == 3 and span_rank(9, "minus", 3) == 4
+
+
 class TestWeightFamily:
+    def test_lazy_family_matches_eager(self):
+        for n in range(1, 16):
+            for k in range(1, 5):
+                assert weight_family(n, k) == eager_weight_family(n, k)
+
     def test_symmetry_dedup_n3(self):
         # (1,2) ~ (2,4) = (2,1) under the unit 2, so only two k=2 families
         fams = weight_family(3, 2)

@@ -330,7 +330,7 @@ class TestWordBalls:
             word_ball(hnn, 8, node_budget=50)
 
     def test_radius_cap(self, hnn):
-        # raised before the search: the node budget would stop it only at radius 10
+        # raised before the search: the node budget would stop it only at radius 8
         with pytest.raises(CapExceededError, match="desk-scale cap"):
             word_ball(hnn, DESK_RADIUS_CAP + 1)
 
