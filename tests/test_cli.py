@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -261,6 +262,28 @@ class TestCliBehavior:
         message = err.read_text()
         assert message.count("\n") == 1 and "node budget 100000 at radius 8" in message
         assert usage.ru_maxrss < 300 * 1024  # KiB
+
+    def test_huge_t_power_exits_1_at_once(self, tmp_path):
+        # one syllable per unit of power: without the cap this runs for minutes
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "etarho", "zoo", "--group", "hnn",
+                               "--normalize", "t^99999999"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "above the cap of" in proc.stderr
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["zoo", "--group", "hnn", "--class-of", "q:1/2 t", "--radius", "6"],
+         "76345d379dd8738f92f4b912966b4eecd36440f96ca086b143850045f468cadf"),
+        (["zoo", "--group", "hnn", "--ball", "6", "--format", "tsv"],
+         "7c34f6dd06d08ef09fcfecd67233938611a9db8cd2f2d0111377d5e3b5eea55b"),
+        (["zoo", "--group", "qsemi", "--class-of", "e:0 e:1", "--radius", "6"],
+         "804ef1f0f87337875b731945624d80d84573266c21ae51de069e23055539d997"),
+    ])
+    def test_zoo_stdout_pinned(self, argv, digest, capsys):
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_determinism_byte_identical(self):
         a = run(["lens", "--n", "7", "--weights", "1,2,3"])[1]

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from etarho.zoo import (DESK_RADIUS_CAP, CapExceededError, Cyclic, HnnShift,
-                        Lamplighter, Product, QSemidirect, ZooError, class_ball,
-                        class_ball_counts, class_ball_rationals,
-                        class_intersect_integers, conjugate_of_one_test,
-                        growth_classify, multiplier_levels, normalize, q_in_A,
-                        q_in_kernel, word_ball)
+import zoo_oracle
+from etarho.zoo import (DESK_RADIUS_CAP, T_POWER_CAP, CapExceededError, Cyclic,
+                        HnnShift, Lamplighter, Product, QSemidirect, ZooError,
+                        _class_levels, class_ball, class_ball_counts,
+                        class_ball_rationals, class_intersect_integers,
+                        conjugate_of_one_test, growth_classify, multiplier_levels,
+                        normalize, q_in_A, q_in_kernel, q_mul, word_ball)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,69 @@ class TestHnnNormalForm:
             interior = [head] + [g for _, g in tail][:-1] if tail else []
             for g in interior:
                 assert not g[1]  # lambda part pushed out
+
+
+class TestJunctionProducts:
+    """HnnShift.mul and inv against whole-word Britton normalization."""
+
+    # multi-index A-parts, non-integer q, and t-runs that cancel
+    EXTRA_WORDS = ("q:1/2", "q:-3/4 e:1", "e:3^2 e:-1", "e:0 e:2^-1 q:5/7",
+                   "t^2", "t^-2", "t e:0 t^-1", "t^-1 q:1/3 t")
+
+    def test_mul_and_inv_match_oracle(self, hnn):
+        oracle = zoo_oracle.OracleHnn()
+        letters = [g for _, g in hnn.generators()]
+        letters += [normalize(oracle, w) for w in self.EXTRA_WORDS]
+        rng = random.Random(149)
+
+        def word():
+            return normalize(oracle, [rng.choice(letters) for _ in range(rng.randint(0, 10))])
+
+        for _ in range(10_000):
+            u, v = word(), word()
+            for got, want in ((hnn.mul(u, v), oracle.mul(u, v)), (hnn.inv(u), oracle.inv(u))):
+                assert got == want
+                assert hnn.format_element(got) == hnn.format_element(want)
+                assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("group, word", [
+        (HnnShift(), "q:1/2 t"), (HnnShift(), "t"), (HnnShift(), "t^-1"),
+        (HnnShift(), "e:0"), (HnnShift(), "e:1"), (HnnShift(), "t e:0 t^-1"),
+        (QSemidirect(), "e:0 e:1")], ids=lambda v: getattr(v, "name", v))
+    def test_class_levels_match_oracle(self, group, word):
+        oracle_group = zoo_oracle.OracleHnn() if isinstance(group, HnnShift) else group
+        h = normalize(group, word)
+        got = _class_levels(group, h, 6, 10 ** 6)
+        want = zoo_oracle.class_levels(oracle_group, h, 6)
+        for r in range(7):
+            assert got[r] == want[r], f"radius {r}"
+
+    def test_word_ball_matches_oracle_in_order(self, hnn):
+        got = word_ball(hnn, 5).elements
+        want = zoo_oracle.word_ball(zoo_oracle.OracleHnn(), 5)
+        assert list(got.items()) == list(want.items())
+
+    def test_q_mul_is_the_plain_formula(self):
+        rng = random.Random(151)
+
+        def element():
+            q = Fraction(rng.randint(-6, 6), rng.randint(1, 6)) if rng.random() < 0.6 else 0
+            lam = {rng.randint(-3, 3): rng.choice((-2, -1, 1, 2))
+                   for _ in range(rng.randint(0, 3))}
+            return (Fraction(q), tuple(sorted(lam.items())))
+
+        for _ in range(5000):
+            a, b = element(), element()
+            got, want = q_mul(a, b), zoo_oracle.plain_q_mul(a, b)
+            assert got == want and repr(got) == repr(want)
+            assert type(got[0]) is Fraction
+
+    def test_t_power_cap(self, hnn):
+        assert hnn.t(-T_POWER_CAP) == hnn.inv(hnn.t(T_POWER_CAP))
+        with pytest.raises(ZooError, match="above the cap of"):
+            hnn.t(T_POWER_CAP + 1)
+        with pytest.raises(ZooError, match="above the cap of"):
+            normalize(hnn, "t^-99999999")
 
 
 class TestLamplighter:
@@ -267,6 +331,13 @@ class TestClassIntegers:
         assert {1, 2}.issubset(ints)
         assert all(i > 0 for i in ints)
         assert sorted(ints) == ints
+
+    def test_multiplier_levels_radius_cap_first(self):
+        # raised before the Z wr Z search, which would take seconds and MBs to fail
+        with pytest.raises(CapExceededError, match="desk-scale cap"):
+            multiplier_levels(DESK_RADIUS_CAP + 1)
+        with pytest.raises(ZooError, match=">= 0"):
+            multiplier_levels(-1)
 
     def test_multiplier_levels_all_positive(self):
         for level in multiplier_levels(12):
