@@ -47,9 +47,8 @@ class CapExceededError(ZooError):
 DESK_RADIUS_CAP = 12
 # about 1 KB a node: `zoo --group hnn --ball 12` stops at radius 8 near 125 MB RSS
 DEFAULT_NODE_BUDGET = 100_000
-# the Z wr Z ball behind the multipliers has 294,585 nodes at the radius cap
-_WREATH_NODE_BUDGET = 300_000
-# HnnShift.t(power) builds one syllable per unit of |power|
+# HnnShift.t(power) builds one syllable per unit of |power|; e:i^k letters
+# compute p(|i|)^k, so |i| and |k| share the cap
 T_POWER_CAP = 10_000
 
 
@@ -128,10 +127,10 @@ def q_alpha(a: tuple, k: int = 1) -> tuple:
     return (_ZERO, _lam_shift(a[1], k))
 
 
-def _bfs(start, gens, step, radius: int, node_budget: int) -> dict:
+def _bfs(start, gens, step, radius: int) -> dict:
     """First-reach distance of every node within ``radius`` steps of
     ``start``, where the neighbours of ``x`` are ``step(x, g)`` for g in
-    ``gens``; the dict is in BFS order."""
+    ``gens``; the dict is in BFS order.  Stops past DEFAULT_NODE_BUDGET nodes."""
     dist = {start: 0}
     frontier = [start]
     for r in range(1, radius + 1):
@@ -143,9 +142,9 @@ def _bfs(start, gens, step, radius: int, node_budget: int) -> dict:
                 dist.setdefault(cand, r)
                 if len(dist) > size:
                     new.append(cand)
-                    if len(dist) > node_budget:
+                    if len(dist) > DEFAULT_NODE_BUDGET:
                         raise CapExceededError(
-                            f"ball exceeded node budget {node_budget} at radius {r}")
+                            f"ball exceeded node budget {DEFAULT_NODE_BUDGET} at radius {r}")
         frontier = new
     return dist
 
@@ -163,33 +162,31 @@ def _bfs(start, gens, step, radius: int, node_budget: int) -> dict:
 #
 # Killing Q maps the ambient group onto Z wr Z = <lamps e_i, shift s> (the
 # generators go to 1, e_0, s); the lambda-parts reachable at radius r are
-# exactly the zero-shift lamp configurations of the radius-r ball there:
+# exactly the zero-shift lamp configurations c of word length <= r there:
 # projection gives <=, and a {e_0, s}-word lifts to an {e0, t}-word whose
-# value is (0, lam) itself, giving >=.  That ball is small enough to
-# enumerate exactly at desk scale.
+# value is (0, lam) itself, giving >=.  That word length is
+# ||c||_1 + 2 (L + R), where [-L, R] is the least window holding 0 and the
+# support of c: the lighter walks out to both ends and back (W. Parry,
+# "Growth series of some wreath products", Trans. AMS 331, 1992).  So each
+# level is enumerated directly, window by window.
 # --------------------------------------------------------------------------
-
-def _wreath_mul(a: tuple, b: tuple) -> tuple:
-    lamps = dict(a[0])
-    for pos, val in b[0]:
-        p = pos + a[1]
-        v = lamps.get(p, 0) + val
-        if v:
-            lamps[p] = v
-        else:
-            lamps.pop(p, None)
-    return (tuple(sorted(lamps.items())), a[1] + b[1])
-
 
 @lru_cache(maxsize=8)
 def _lambda_levels(radius: int) -> tuple:
     """levels[r] = lambda-configs whose minimal Z-wr-Z word length is r."""
-    gens = ((((0, 1),), 0), (((0, -1),), 0), ((), 1), ((), -1))
-    dist = _bfs(((), 0), gens, _wreath_mul, radius, _WREATH_NODE_BUDGET)
     levels = [set() for _ in range(radius + 1)]
-    for (config, shift), r in dist.items():
-        if shift == 0:
-            levels[r].add(config)
+    for lo in range(-(radius // 2), 1):
+        for hi in range(radius // 2 + lo + 1):
+            # (config on [lo, pos], its length so far); a window end other
+            # than 0 must hold a lamp, else a smaller window would do
+            configs = [((), 2 * (hi - lo))]
+            for pos in range(lo, hi + 1):
+                least = 1 if pos == lo < 0 or pos == hi > 0 else 0
+                configs = [(c + ((pos, v),) if v else c, n + abs(v))
+                           for c, n in configs
+                           for v in range(n - radius, radius - n + 1) if abs(v) >= least]
+            for c, n in configs:
+                levels[n].add(c)
     return tuple(frozenset(lv) for lv in levels)
 
 
@@ -358,6 +355,8 @@ class QSemidirect:
         return (Fraction(q), ())
 
     def summand_generator(self, i: int, power: int = 1):
+        if max(abs(i), abs(power)) > T_POWER_CAP:
+            raise ZooError(f"e letter index {i}, power {power}: above the cap of {T_POWER_CAP}")
         return (Fraction(0), ((i, power),) if power else ())
 
     def generators(self):
@@ -555,28 +554,28 @@ class WordBall:
         return list(accumulate(out))
 
 
-def word_ball(group, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> WordBall:
+def word_ball(group, radius: int) -> WordBall:
     """Breadth-first ball of the group itself under its canonical generators,
     for radius <= DESK_RADIUS_CAP."""
     _check_radius(radius)
     gens = group.generators()
-    lengths = _bfs(group.identity, [g for _, g in gens], group.mul, radius, node_budget)
+    lengths = _bfs(group.identity, [g for _, g in gens], group.mul, radius)
     return WordBall(group.name, tuple(lbl for lbl, _ in gens), radius, lengths)
 
 
-def _conjugate_levels(group, h, radius: int, node_budget: int) -> list[set]:
+def _conjugate_levels(group, h, radius: int) -> list[set]:
     """Levels of the conjugate-value BFS: level r holds the values first
     reached by conjugators of word length exactly r."""
     mul = group.mul
     pairs = [(g, group.inv(g)) for _, g in group.generators()]
-    dist = _bfs(h, pairs, lambda c, gp: mul(gp[0], mul(c, gp[1])), radius, node_budget)
+    dist = _bfs(h, pairs, lambda c, gp: mul(gp[0], mul(c, gp[1])), radius)
     levels = [set() for _ in range(radius + 1)]
     for c, r in dist.items():
         levels[r].add(c)
     return levels
 
 
-def _class_levels(group, h, radius: int, node_budget: int) -> list[set]:
+def _class_levels(group, h, radius: int) -> list[set]:
     """Level r holds the conjugates w h w^-1 first reached at |w| = r, each
     value once (for QSemidirect: see ``class_ball``)."""
     _check_radius(radius)
@@ -587,10 +586,9 @@ def _class_levels(group, h, radius: int, node_budget: int) -> list[set]:
     elif isinstance(group, QSemidirect):
         ambient = group.ambient()
         levels = [{u[0] for u in level if ambient.in_base(u)}
-                  for level in _conjugate_levels(ambient, ambient.from_base(h),
-                                                 radius, node_budget)]
+                  for level in _conjugate_levels(ambient, ambient.from_base(h), radius)]
     else:
-        levels = _conjugate_levels(group, h, radius, node_budget)
+        levels = _conjugate_levels(group, h, radius)
     seen: set = set()
     out = []
     for level in levels:
@@ -600,7 +598,7 @@ def _class_levels(group, h, radius: int, node_budget: int) -> list[set]:
     return out
 
 
-def class_ball(group, h, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) -> set:
+def class_ball(group, h, radius: int) -> set:
     """{w h w^-1 : |w| <= radius} as a set of normal forms.
 
     For QSemidirect the word metric is the one of the ambient 3-generator
@@ -609,7 +607,7 @@ def class_ball(group, h, radius: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     (non-kernel base elements fall back to the ambient BFS, restricted to
     values in the base group).
     """
-    return set().union(*_class_levels(group, h, radius, node_budget))
+    return set().union(*_class_levels(group, h, radius))
 
 
 def class_ball_rationals(group, q0, radius: int) -> set:
@@ -627,10 +625,9 @@ def class_ball_rationals(group, q0, radius: int) -> set:
     return {m * q0 for m in set().union(*multiplier_levels(radius))}
 
 
-def class_ball_counts(group, h, max_radius: int,
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> list[int]:
+def class_ball_counts(group, h, max_radius: int) -> list[int]:
     """Cumulative conjugate counts by radius (one BFS, all radii at once)."""
-    levels = _class_levels(group, h, max_radius, node_budget)
+    levels = _class_levels(group, h, max_radius)
     return list(accumulate(len(level) for level in levels))
 
 
@@ -656,15 +653,14 @@ class GrowthReport:
                 "ratios": [round(r, 6) for r in self.ratios]}
 
 
-def growth_classify(group, h, max_radius: int,
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> GrowthReport:
+def growth_classify(group, h, max_radius: int) -> GrowthReport:
     """Desk-scale growth estimate for the conjugacy class of h.
 
     Fits both a power law (log count vs log r) and an exponential (count
     ratios) on the outer half of the radii; the verdict is an estimate from
     finite data and is labelled as such, with raw counts always reported.
     """
-    counts = class_ball_counts(group, h, max_radius, node_budget)
+    counts = class_ball_counts(group, h, max_radius)
     lo = max(max_radius // 2, 1)
     window = list(range(lo, max_radius + 1))
     ratios = tuple(counts[r] / counts[r - 1] for r in range(lo, max_radius + 1)

@@ -273,6 +273,17 @@ class TestCliBehavior:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "above the cap of" in proc.stderr
 
+    @pytest.mark.parametrize("word", ["e:0^99999999 q:1", "e:99999999"])
+    def test_huge_e_letter_exits_1_at_once(self, word):
+        # without the cap: 2^99999999, or the 10^8-th prime
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-m", "etarho", "zoo", "--group", "qsemi",
+                               "--normalize", word], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "above the cap of" in proc.stderr
+
     @pytest.mark.parametrize("argv, digest", [
         (["zoo", "--group", "hnn", "--class-of", "q:1/2 t", "--radius", "6"],
          "76345d379dd8738f92f4b912966b4eecd36440f96ca086b143850045f468cadf"),

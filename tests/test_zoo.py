@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 import zoo_oracle
+from etarho import zoo
 from etarho.zoo import (DESK_RADIUS_CAP, T_POWER_CAP, CapExceededError, Cyclic,
                         HnnShift, Lamplighter, Product, QSemidirect, ZooError,
-                        _class_levels, class_ball, class_ball_counts,
+                        _class_levels, _lambda_levels, class_ball, class_ball_counts,
                         class_ball_rationals, class_intersect_integers,
                         conjugate_of_one_test, growth_classify, multiplier_levels,
                         normalize, q_in_A, q_in_kernel, q_mul, word_ball)
@@ -20,6 +21,19 @@ def hnn():
 @pytest.fixture(scope="module")
 def gamma():
     return QSemidirect()
+
+
+@pytest.fixture(scope="module")
+def wreath_levels():
+    """Zero-shift levels of the Z wr Z ball at the radius cap, by BFS in
+    Lamplighter(25): lamp values never wrap within 12 steps, so v > 12
+    reads as v - 25."""
+    n, radius = 25, DESK_RADIUS_CAP
+    levels = [set() for _ in range(radius + 1)]
+    for (lamps, shift), r in zoo_oracle.word_ball(Lamplighter(n), radius).items():
+        if shift == 0:
+            levels[r].add(tuple((pos, v - n if v > radius else v) for pos, v in lamps))
+    return tuple(frozenset(level) for level in levels)
 
 
 def rand_word(group, rng, max_len):
@@ -158,7 +172,7 @@ class TestJunctionProducts:
     def test_class_levels_match_oracle(self, group, word):
         oracle_group = zoo_oracle.OracleHnn() if isinstance(group, HnnShift) else group
         h = normalize(group, word)
-        got = _class_levels(group, h, 6, 10 ** 6)
+        got = _class_levels(group, h, 6)
         want = zoo_oracle.class_levels(oracle_group, h, 6)
         for r in range(7):
             assert got[r] == want[r], f"radius {r}"
@@ -189,6 +203,15 @@ class TestJunctionProducts:
             hnn.t(T_POWER_CAP + 1)
         with pytest.raises(ZooError, match="above the cap of"):
             normalize(hnn, "t^-99999999")
+
+    def test_e_letter_cap(self, gamma):
+        # p(|i|)^k is computed exactly, so index and power are capped like t
+        assert normalize(gamma, "e:0^10000 q:1") == (2 ** T_POWER_CAP, ((0, T_POWER_CAP),))
+        assert normalize(gamma, "e:-10000") == (Fraction(0), ((-10000, 1),))
+        assert normalize(gamma, "e:10000 q:1")[0] == 104743  # the 10001st prime
+        for word in ("e:0^10001", "e:0^-99999999", "e:10001", "e:-99999999^2", "e^10001"):
+            with pytest.raises(ZooError, match="above the cap of"):
+                normalize(gamma, word)
 
 
 class TestLamplighter:
@@ -293,10 +316,11 @@ class TestClassBalls:
         got = {el[0] for el in class_ball(gamma, gamma.rational(1), 9)}
         assert got == class_ball_rationals(hnn, 1, 9)
 
-    def test_node_budget_guard(self, hnn):
+    def test_node_budget_guard(self, hnn, monkeypatch):
+        monkeypatch.setattr(zoo, "DEFAULT_NODE_BUDGET", 1000)
         one = hnn.from_base((Fraction(1), ()))
         with pytest.raises(CapExceededError):
-            class_ball(hnn, one, 8, node_budget=1000)
+            class_ball(hnn, one, 8)
 
     def test_monotone_in_radius(self, gamma):
         balls = [class_ball(gamma, gamma.rational(1), r) for r in range(6)]
@@ -333,11 +357,16 @@ class TestClassIntegers:
         assert sorted(ints) == ints
 
     def test_multiplier_levels_radius_cap_first(self):
-        # raised before the Z wr Z search, which would take seconds and MBs to fail
+        # raised before the Z wr Z levels are enumerated
         with pytest.raises(CapExceededError, match="desk-scale cap"):
             multiplier_levels(DESK_RADIUS_CAP + 1)
         with pytest.raises(ZooError, match=">= 0"):
             multiplier_levels(-1)
+
+    def test_lambda_levels_match_lamplighter_ball(self, wreath_levels):
+        # first-reach levels are prefix-stable, so radius r is a prefix
+        for r in range(DESK_RADIUS_CAP + 1):
+            assert _lambda_levels(r) == wreath_levels[:r + 1]
 
     def test_multiplier_levels_all_positive(self):
         for level in multiplier_levels(12):
@@ -396,9 +425,10 @@ class TestWordBalls:
         assert ball.elements[hnn.t(1)] == 1
         assert ball.elements[normalize(hnn, "e:1")] == 3  # t e0 t^-1
 
-    def test_budget(self, hnn):
+    def test_budget(self, hnn, monkeypatch):
+        monkeypatch.setattr(zoo, "DEFAULT_NODE_BUDGET", 50)
         with pytest.raises(CapExceededError):
-            word_ball(hnn, 8, node_budget=50)
+            word_ball(hnn, 8)
 
     def test_radius_cap(self, hnn):
         # raised before the search: the node budget would stop it only at radius 8
