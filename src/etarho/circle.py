@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 import mpmath
-import sympy
+
+from . import _ntheory
 
 
 @dataclass(frozen=True)
@@ -281,10 +282,7 @@ class SubsetFamily:
                 yield k
                 k *= base
         elif self.variant == "primes":
-            p = 2
-            while True:
-                yield p
-                p = int(sympy.nextprime(p))
+            yield from _ntheory.primes()
         else:
             prev = 0
             for x in self.generator():

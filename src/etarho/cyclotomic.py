@@ -18,27 +18,13 @@ from functools import lru_cache
 from math import gcd, lcm
 
 import mpmath
-import sympy
-from sympy.polys.densebasic import dup_strip
-from sympy.polys.domains import QQ
-from sympy.polys.euclidtools import dup_invert
+
+from ._ntheory import cyclotomic_polynomial, euler_phi
 
 
 class OrderMismatchError(ValueError):
     """Raised when two cyclotomic values of incompatible orders are combined
     by an operation that requires equal orders."""
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, constant term first, as plain integers."""
-    poly = sympy.Poly(sympy.cyclotomic_poly(n, sympy.Symbol("x")), sympy.Symbol("x"))
-    return tuple(int(c) for c in reversed(poly.all_coeffs()))
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    return int(sympy.totient(n))
 
 
 def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
@@ -194,8 +180,13 @@ class CyclotomicValue:
         (``dup_invert``) against Phi_n over QQ.
 
         Raises ZeroDivisionError on zero; every nonzero value is invertible
-        because Phi_n is irreducible.
+        because Phi_n is irreducible.  sympy is imported here, on first use,
+        so that importing etarho does not pay for it.
         """
+        from sympy.polys.densebasic import dup_strip
+        from sympy.polys.domains import QQ
+        from sympy.polys.euclidtools import dup_invert
+
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
         # dup_* routines take coefficients highest degree first, leading zeros

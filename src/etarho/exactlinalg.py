@@ -31,8 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from sympy import isprime, primefactors
-
+from ._ntheory import factor, is_prime
 from .cyclotomic import CyclotomicValue, euler_phi
 
 
@@ -41,12 +40,12 @@ def _prime_and_root(order: int, above: int = 2 ** 31) -> tuple[int, int]:
     """Least prime p = 1 (mod order) above ``above`` and a primitive
     order-th root of unity mod p."""
     p = above // order * order + 1
-    while p <= above or not isprime(p):
+    while p <= above or not is_prime(p):
         p += order
     g = 2
     while True:
         w = pow(g, (p - 1) // order, p)
-        if all(pow(w, order // q, p) != 1 for q in primefactors(order)):
+        if all(pow(w, order // q, p) != 1 for q in factor(order)):
             return p, w
         g += 1
 

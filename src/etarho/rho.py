@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
+from ._ntheory import factor, is_prime
 from .chars import FiniteGroup, RhoVector
 from .cyclotomic import CyclotomicValue
 
@@ -117,7 +116,7 @@ class DenominatorRing:
     def __post_init__(self):
         object.__setattr__(self, "prime_support", frozenset(int(p) for p in self.prime_support))
         for p in self.prime_support:
-            if not sympy.isprime(p):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
     def contains(self, q) -> bool:
@@ -139,6 +138,9 @@ class DenominatorRing:
 
 
 INFINITY = float("inf")
+# trial division factors an order o in about sqrt(o) / 3 steps: at most
+# 333,334 at the cap
+ORDER_CAP = 10 ** 12
 
 
 def ring_from_orders(orders, invert_two: bool = False) -> DenominatorRing:
@@ -147,11 +149,13 @@ def ring_from_orders(orders, invert_two: bool = False) -> DenominatorRing:
     Infinite orders contribute nothing ((+inf)^-1 := 0).  ``invert_two``
     additionally adjoins 1/2 (the signature-operator variant).
     """
-    primes: set[int] = {2} if invert_two else set()
-    for o in orders:
-        if o == INFINITY or o is None:
-            continue
+    finite = [o for o in orders if o != INFINITY and o is not None]
+    for o in finite:
         if int(o) != o or o < 1:
             raise ValueError(f"orders must be positive integers or infinity, got {o}")
-        primes.update(int(p) for p in sympy.factorint(int(o)))
+        if o > ORDER_CAP:
+            raise ValueError(f"order {o} is above the cap of {ORDER_CAP}")
+    primes: set[int] = {2} if invert_two else set()
+    for o in finite:
+        primes.update(factor(int(o)))
     return DenominatorRing(frozenset(primes))

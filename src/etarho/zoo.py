@@ -32,8 +32,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
-import numpy as np
-import sympy
+from ._ntheory import primes
 
 
 class ZooError(ValueError):
@@ -63,10 +62,15 @@ def _check_radius(radius: int) -> None:
 # QSemidirect element algebra (shared with the HNN extension)
 # --------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+_PRIMES: list[int] = []  # p(0), p(1), ...: read from one sieve as letters need them
+_PRIME_SOURCE = primes()
+
+
 def _prime_at(i: int) -> int:
     """p(0)=2, p(+-1)=3, p(+-2)=5, ...: 0-based over |i|."""
-    return int(sympy.prime(abs(i) + 1))
+    while len(_PRIMES) <= abs(i):
+        _PRIMES.append(next(_PRIME_SOURCE))
+    return _PRIMES[abs(i)]
 
 
 def _lam_add(a: tuple, b: tuple) -> tuple:
@@ -665,6 +669,8 @@ def growth_classify(group, h, max_radius: int) -> GrowthReport:
     window = list(range(lo, max_radius + 1))
     ratios = tuple(counts[r] / counts[r - 1] for r in range(lo, max_radius + 1)
                    if counts[r - 1] > 0)
+    import numpy as np  # only here: no other call in etarho needs numpy
+
     log_counts = [np.log(counts[r]) for r in window]
     # exponential: near-convex log-counts with per-step ratio >= 1.5
     # (boundary effects make desk-scale log-counts dip slightly below convex)

@@ -54,8 +54,7 @@ def test_criterion_11_determinism(verify_output):
 
 
 # sha256 of `etarho verify` stdout.  The digest depends on the floats that
-# sympy 1.14 and mpmath 1.3 print; any deliberate change of the output
-# updates it.
+# mpmath 1.3 prints; any deliberate change of the output updates it.
 VERIFY_STDOUT_SHA256 = "98157098350627ac686d7c96a88f40e5ffca42493bcec162795878bd3e459bca"
 
 

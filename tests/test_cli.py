@@ -284,6 +284,26 @@ class TestCliBehavior:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "above the cap of" in proc.stderr
 
+    def test_huge_ringcheck_order_exits_1_at_once(self):
+        # trial division of an 82-digit order would not finish
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        huge = "1" + "0" * 80 + "7"
+        proc = subprocess.run([sys.executable, "-m", "etarho", "ringcheck", "--orders",
+                               f"{huge},3", "--value", "1/3"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "above the cap of 1000000000000" in proc.stderr
+
+    @pytest.mark.parametrize("orders, ring", [
+        ("1000000000000", "Z[1/10]"),
+        ("999999999989,inf", "Z[1/999999999989]"),  # the largest prime under the cap
+    ])
+    def test_ringcheck_orders_at_the_cap(self, orders, ring):
+        payload, code = run_json(["ringcheck", "--orders", orders, "--value", "1/5"])
+        assert code == 0 and payload["results"]["ring"] == ring
+        assert main(["ringcheck", "--orders", "1000000000001", "--value", "1/5"]) == 1
+
     @pytest.mark.parametrize("argv, digest", [
         (["zoo", "--group", "hnn", "--class-of", "q:1/2 t", "--radius", "6"],
          "76345d379dd8738f92f4b912966b4eecd36440f96ca086b143850045f468cadf"),
@@ -294,6 +314,15 @@ class TestCliBehavior:
     ])
     def test_zoo_stdout_pinned(self, argv, digest, capsys):
         assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    # sha256 of stdout, taken while the primes came from sympy.nextprime
+    @pytest.mark.parametrize("terms, digest", [
+        (3000, "034c0ec94623fa55f8ed99120317ac4b92cedd666a39dcf29f2e39a82f75ea6a"),
+        (100000, "ece505caa939bc2f7c83ff8a36575fc801f1e4a4723f9b674fd9bf81c49d08ba"),
+    ])
+    def test_circle_primes_stdout_pinned(self, terms, digest, capsys):
+        assert main(["circle", "--subset", "primes", "--terms", str(terms)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_determinism_byte_identical(self):

@@ -1,0 +1,67 @@
+"""Which heavy libraries each entry point loads, in a fresh interpreter.
+
+sympy backs only the field inverse (and primality beyond the proven
+Miller-Rabin range); numpy backs only the growth fit.  Everything else must
+start without them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).parents[1] / "src")
+
+# prints the heavy modules loaded after running ``code``
+PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()):
+{code}
+print(json.dumps(sorted(m for m in ("sympy", "numpy") if m in sys.modules)))
+"""
+
+
+def loaded_after(code: str) -> list[str]:
+    body = "\n".join("    " + line for line in code.splitlines())
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(code=body)],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def cli_code(argv) -> str:
+    return f"from etarho.cli import main\nassert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("module", ["etarho", "etarho.cli"])
+def test_import_loads_neither_sympy_nor_numpy(module):
+    assert loaded_after(f"import {module}") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["lens", "--n", "7", "--weights", "1,2,3"],
+    ["chars", "--group", "cyclic:5", "--basis", "plus"],
+    ["induce", "--sub", "cyclic:2", "--target", "cyclic:4", "--map", "0,2", "--rho", "5,7"],
+    ["circle", "--subset", "ap:1,1", "--terms", "100"],
+    ["circle", "--subset", "primes", "--terms", "1000"],
+    ["zoo", "--group", "hnn", "--normalize", "t q:1/2 e:3 t^-1"],
+    ["ringcheck", "--orders", "6,inf,999999999989", "--value", "1/3"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_cli_run_loads_neither_sympy_nor_numpy(argv):
+    assert loaded_after(cli_code(argv)) == []
+
+
+def test_growth_loads_numpy_only():
+    argv = ["growth", "--group", "lamplighter:2", "--element", "lamp:0", "--max-radius", "8"]
+    assert loaded_after(cli_code(argv)) == ["numpy"]
+
+
+def test_field_inverse_loads_sympy_only():
+    code = ("from etarho.cyclotomic import CyclotomicValue\n"
+            "z = CyclotomicValue.root_of_unity(7)\n"
+            "assert (z + 2).inverse() * (z + 2) == 1")
+    assert loaded_after(code) == ["sympy"]
