@@ -17,7 +17,7 @@ from itertools import permutations
 
 import mpmath
 
-from .cyclotomic import CyclotomicValue, _zeta_powers
+from .cyclotomic import CyclotomicValue, _weighted_dot, _zeta_powers
 
 
 def _as_value(v) -> CyclotomicValue:
@@ -239,6 +239,11 @@ class ClassFunction:
                              tuple(a - b for a, b in zip(self.values, other.values)))
 
     def scale(self, c) -> "ClassFunction":
+        if isinstance(c, (int, Fraction)):
+            # a rational keeps each value's order and its reduced form
+            return ClassFunction(self.group, tuple(
+                CyclotomicValue(v.order, [x * c for x in v.coefficients])
+                for v in self.values))
         c = _as_value(c)
         return ClassFunction(self.group, tuple(v * c for v in self.values))
 
@@ -406,38 +411,54 @@ def is_in_R0(rep: VirtualRep, parity: str) -> bool:
     raise ValueError("parity must be 'plus' or 'minus'")
 
 
-def _mixed_mul(chi: CyclotomicValue, rho_val):
-    if isinstance(rho_val, CyclotomicValue):
-        return chi * rho_val
-    c = chi.embed()
-    return complex(c.real, c.imag) * complex(rho_val)
+def _as_complex(v) -> complex:
+    if isinstance(v, CyclotomicValue):
+        c = v.embed()
+        return complex(c.real, c.imag)
+    return complex(v)
+
+
+def _numeric_sum(left, right) -> complex:
+    """sum of left[i] * right[i] in floats, left to right, with exact
+    entries on either side embedded first."""
+    total = None
+    for a, b in zip(left, right):
+        term = _as_complex(a) * _as_complex(b)
+        total = term if total is None else total + term
+    return total
 
 
 def fourier_eta(rep: VirtualRep, rho: RhoVector):
     """eta_phi = sum over elements of chi_phi(h) rho_<h>.
 
-    Implemented class-by-class as |class| * chi(rep) * rho(class); on abelian
-    groups this is the plain Fourier pairing.
+    Taken class by class as |class| * chi(rep) * rho(class); on abelian
+    groups this is the plain Fourier pairing.  An exact rho vector gives one
+    ``_weighted_dot`` with the class sizes as weights: integer numerators,
+    a single reduction mod Phi_m at the end.  A vector with any numeric entry
+    gives a complex, summed in floats.
     """
     if rep.group != rho.group:
         raise ValueError("representation and rho vector live on different groups")
     group = rep.group
-    total = None
-    for ci in range(group.n_classes()):
-        term = _mixed_mul(rep.character(ci) * group.class_size(ci), rho(ci))
-        total = term if total is None else total + term
-    return total
+    sizes = [group.class_size(ci) for ci in range(group.n_classes())]
+    if rho.is_exact():
+        return _weighted_dot(sizes, rep.character.values, rho.values)
+    return _numeric_sum([chi * size for chi, size in zip(rep.character.values, sizes)],
+                        rho.values)
 
 
 def pair_phi(f: ClassFunction, rho: RhoVector):
-    """Phi(f)(rho) = sum over classes of rho_<h> f(<h>)."""
+    """Phi(f)(rho) = sum over classes of rho_<h> f(<h>).
+
+    An exact rho vector gives one ``_weighted_dot`` with unit weights:
+    integer numerators, a single reduction mod Phi_m at the end.  A vector
+    with any numeric entry gives a complex, summed in floats.
+    """
     if f.group != rho.group:
         raise ValueError("class function and rho vector live on different groups")
-    total = None
-    for ci in range(f.group.n_classes()):
-        term = _mixed_mul(f(ci), rho(ci))
-        total = term if total is None else total + term
-    return total
+    if rho.is_exact():
+        return _weighted_dot([1] * len(f.values), f.values, rho.values)
+    return _numeric_sum(f.values, rho.values)
 
 
 def r_plus_test_reps(n: int) -> list[VirtualRep]:

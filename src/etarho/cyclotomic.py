@@ -13,6 +13,7 @@ embeddings at a configurable bit precision are provided through mpmath.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -58,6 +59,49 @@ def _zeta_powers(n: int) -> tuple[tuple[int, ...], ...]:
         if top:
             power = [c - top * f for c, f in zip(power, phi)]
     return tuple(powers)
+
+
+def _numerators(value: "CyclotomicValue", m: int) -> tuple[int, list[tuple[int, int]]]:
+    """A value of order d | m as (common denominator, [(position, numerator)])
+    in Z[x]/(x^m - 1): coefficient k sits at position k * (m / d)."""
+    coeffs = value.coefficients
+    den = lcm(*(c.denominator for c in coeffs))
+    step = m // value.order
+    return den, [(k * step, c.numerator * (den // c.denominator))
+                 for k, c in enumerate(coeffs) if c]
+
+
+def _weighted_dot(weights, left, right) -> "CyclotomicValue":
+    """sum_i weights[i] * left[i] * right[i] for exact values and int or
+    Fraction weights, reduced mod Phi_m once.
+
+    m is the lcm of every operand's order, zeros included: the order that a
+    sum of products taken term by term has, so the result is the same value
+    in the same field.  Products of integer numerators add into one integer
+    row of Z[x]/(x^m - 1) per denominator product, positions adding mod m;
+    the rows meet over their common denominator at the end.  Phi_m divides
+    x^m - 1, so folding that sum once mod Phi_m gives the canonical
+    coefficients.
+    """
+    m = lcm(*(v.order for v in left), *(v.order for v in right))
+    rows = defaultdict(lambda: [0] * (2 * m - 1))  # positions below m add to below 2m - 1
+    for s, a, b in zip(weights, left, right):
+        da, a = _numerators(a, m)
+        db, b = _numerators(b, m)
+        if not (s and a and b):
+            continue
+        row = rows[s.denominator * da * db]
+        for pa, na in a:
+            c = s.numerator * na
+            for pb, nb in b:
+                row[pa + pb] += c * nb
+    common = lcm(*rows)
+    total = [0] * m
+    for d, row in rows.items():
+        for i, c in enumerate(row):
+            if c:
+                total[i % m] += c * (common // d)
+    return CyclotomicValue(m, [Fraction(c, common) for c in _reduce_mod_phi(total, m)])
 
 
 class CyclotomicValue:

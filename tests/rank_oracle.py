@@ -7,10 +7,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-from etarho.chars import (ClassFunction, FiniteGroup, VirtualRep, class_space_basis,
-                          pair_phi)
+from etarho.chars import ClassFunction, FiniteGroup, VirtualRep, class_space_basis
 from etarho.cyclotomic import CyclotomicValue
 from etarho.lens import LensSpace, _canonical_weights, lens_delocalized_rho
+from pairing_oracle import pair_phi
 
 
 def _lift_matrix(rows):
@@ -50,7 +50,8 @@ def _echelon_rank(rows) -> int:
 
 
 def pairing_rows(n, parity, weights_list, defect_scale=Fraction(1)):
-    """Exact rows: each lens table paired against the Class+-_0 basis."""
+    """Exact rows: each lens table paired against the Class+-_0 basis, term
+    by term (the pairing oracle, not ``etarho.chars.pair_phi``)."""
     basis = class_space_basis(FiniteGroup.cyclic(n), parity)
     return [[pair_phi(f, lens_delocalized_rho(LensSpace(n, w), defect_scale)) for f in basis]
             for w in weights_list]
