@@ -34,10 +34,17 @@ class QuadratureConfig:
     precision_bits: int = 80
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.t_split <= 0:
-            raise ValueError("t_split must be positive")
+        # written so that NaN fails every check
+        for name in ("abs_tol", "rel_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+        if not self.t_split > 0:
+            raise ValueError(f"t_split must be positive, got {self.t_split}")
+        if not self.max_subdivisions >= 0:
+            raise ValueError(f"max_subdivisions must be >= 0, got {self.max_subdivisions}")
+        if not self.precision_bits >= 1:
+            raise ValueError(f"precision_bits must be >= 1, got {self.precision_bits}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -73,6 +80,12 @@ def _kernel_mp(x, y, t):
             * mpmath.exp(-(d * d) / (4 * t)))
 
 
+def _kernel_im_mp(d, t, four_pi):
+    """Imaginary part of ``_kernel_mp(x, y, t)`` at d = x - y, operation for
+    operation, with ``four_pi`` = 4 * pi at the working precision."""
+    return d / (2 * t * mpmath.sqrt(four_pi * t)) * mpmath.exp(-(d * d) / (4 * t))
+
+
 def _quad_with_tolerance(f, interval, cfg: QuadratureConfig, what: str):
     """mpmath adaptive quadrature, retried at increasing depth until tolerances hold."""
     last_val, last_err = None, None
@@ -97,15 +110,25 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
     midpoint rule (exact here), in audit mode by full quadrature, and
     ``order`` picks which integral is the outer one (Fubini check).
 
+    The kernel is i times a real function, so every integrand here returns
+    the imaginary part of the complex integrand of ``_kernel_mp`` as a real
+    mpf (``_kernel_im_mp``), operation for operation.  The real part would
+    be 0 at every step; mpc-by-mpf arithmetic is componentwise at the same
+    precision and rounding, and |0 + iy| is |y|, so the quadratures see the
+    same numbers and the term is ``complex(0, value)``, bit for bit.  4 pi,
+    n^2 and d at x = 1/2 are computed once per working precision.
+
     Every quadrature node is visited, but the integrand reads x only through
     the computed d = (x + n) - x, so where x varies (audit and ``x_then_t``)
-    one call memoizes it on (d, t) at the working precision.  Equal keys are
-    bitwise-equal inputs to the same floating-point operations, so a hit
-    returns the very value a fresh evaluation would.  Likewise the inner
-    s-quadrature of ``x_then_t`` is a pure function of the integrand values,
-    hence of d at the precision the integrand runs at, and is memoized on
-    that d.  Both memos live and die with the call.  An audit term at n = 45
-    asks for 10,614 integrand values at 266 distinct (d, t).
+    one call memoizes it on the raw mpf tuples of (d, t) and the working
+    precision; d itself is computed once per x node and precision.  Equal
+    keys are bitwise-equal inputs to the same floating-point operations, so
+    a hit returns the very value a fresh evaluation would.  Likewise the
+    inner s-quadrature of ``x_then_t`` is a pure function of the integrand
+    values, hence of d at the precision the integrand runs at, and is
+    memoized on that d.  The memos live and die with the call.  An audit
+    term at n = 45 evaluates the kernel at 266 distinct (d, t, precision).
+    On failure, ``QuadratureError.partial`` is the complex value 0 + i y.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -114,22 +137,40 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
     with mpmath.workprec(cfg.precision_bits):
         nn = mpmath.mpf(n)
         inv_sqrt_pi = 1 / mpmath.sqrt(mpmath.pi)
-        values = {}
+        invariants = {}  # precision -> (4 pi, n^2, d at x = 1/2)
+        d_at = {}  # (x, precision) -> (x + n) - x
+        values = {}  # (d, t, precision) -> integrand value
 
-        def t_integrand_at(x, t):
-            return inv_sqrt_pi * _kernel_mp(x + nn, x, t) / mpmath.sqrt(t)
+        def invariant(prec):
+            inv = invariants.get(prec)
+            if inv is None:
+                half = mpmath.mpf("0.5")
+                inv = invariants[prec] = (4 * mpmath.pi, nn * nn, (half + nn) - half)
+            return inv
+
+        def t_and_jacobian(s):
+            n2 = invariant(mpmath.mp.prec)[1]
+            four_s = 4 * s
+            return n2 / four_s, n2 / (four_s * s)
+
+        def t_integrand(d, t, four_pi):
+            return inv_sqrt_pi * _kernel_im_mp(d, t, four_pi) / mpmath.sqrt(t)
+
+        def d_of(x):
+            key = (x._mpf_, mpmath.mp.prec)
+            d = d_at.get(key)
+            if d is None:
+                d = d_at[key] = (x + nn) - x
+            return d
 
         def t_integrand_memo(x, t):
-            key = ((x + nn) - x, t, mpmath.mp.prec)
-            if key not in values:
-                values[key] = t_integrand_at(x, t)
-            return values[key]
-
-        def t_of_s(s):
-            return nn * nn / (4 * s)
-
-        def jacobian(s):
-            return nn * nn / (4 * s * s)
+            prec = mpmath.mp.prec
+            d = d_of(x)
+            key = (d._mpf_, t._mpf_, prec)
+            value = values.get(key)
+            if value is None:
+                value = values[key] = t_integrand(d, t, invariant(prec)[0])
+            return value
 
         # t in (0, t_split) maps to s above this breakpoint; splitting the
         # interval there keeps the two t-regimes in separate panels
@@ -139,16 +180,16 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
         if order == "t_then_x":
             if audit:
                 def outer(s):
-                    t = t_of_s(s)
+                    t, jacobian = t_and_jacobian(s)
                     inner, _ = mpmath.quad(lambda x: t_integrand_memo(x, t), [0, 1],
                                            error=True)
-                    return inner * jacobian(s)
+                    return inner * jacobian
             else:
                 def outer(s):
-                    t = t_of_s(s)
-                    return t_integrand_at(mpmath.mpf("0.5"), t) * jacobian(s)
-            val, err = _quad_with_tolerance(outer, interval, cfg,
-                                            f"eta_term(n={n})")
+                    four_pi, _, d_half = invariant(mpmath.mp.prec)
+                    t, jacobian = t_and_jacobian(s)
+                    return t_integrand(d_half, t, four_pi) * jacobian
+            f, points, what = outer, interval, f"eta_term(n={n})"
         else:
             t_integrals = {}
 
@@ -156,14 +197,20 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
                 # mpmath.quad evaluates its integrand 20 bits above the
                 # caller's precision; that is where t_integrand_memo computes d
                 with mpmath.extraprec(20):
-                    key = (x + nn) - x
+                    key = d_of(x)._mpf_
                 if key not in t_integrals:
-                    f = lambda s: t_integrand_memo(x, t_of_s(s)) * jacobian(s)
-                    t_integrals[key], _ = mpmath.quad(f, interval, error=True)
+                    def inner(s):
+                        t, jacobian = t_and_jacobian(s)
+                        return t_integrand_memo(x, t) * jacobian
+                    t_integrals[key], _ = mpmath.quad(inner, interval, error=True)
                 return t_integrals[key]
-            val, err = _quad_with_tolerance(t_integral, [0, 1], cfg,
-                                            f"eta_term(n={n}, x outer)")
-        return complex(val)
+            f, points, what = t_integral, [0, 1], f"eta_term(n={n}, x outer)"
+        try:
+            val, _ = _quad_with_tolerance(f, points, cfg, what)
+        except QuadratureError as exc:
+            exc.partial = mpmath.mpc(0, exc.partial)  # the complex integrand's partial
+            raise
+        return complex(0, val)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -105,19 +106,28 @@ def _parse_values(text: str, group: FiniteGroup) -> RhoVector:
     return RhoVector(group, tuple(vals))
 
 
+_SUBSET_SYNTAX = "use finite:n1,n2,..., ap:a,d, geo:b or primes"
+_SUBSET_ARITY = {"finite": None, "ap": 2, "geo": 1, "primes": 0}  # None: one or more
+_INTEGER = re.compile(r"\s*[+-]?\d+\s*")  # what int() reads, bar "_"
+
+
 def _parse_subset(token: str) -> SubsetFamily:
-    kind, _, rest = token.partition(":")
+    kind, colon, rest = token.partition(":")
+    if kind not in _SUBSET_ARITY:
+        raise UsageError(f"unknown subset family {token!r} ({_SUBSET_SYNTAX})")
+    fields = rest.split(",") if colon else []
+    arity = _SUBSET_ARITY[kind]
+    if ((not fields if arity is None else len(fields) != arity)
+            or not all(_INTEGER.fullmatch(x) for x in fields)):
+        raise UsageError(f"malformed subset {token!r} ({_SUBSET_SYNTAX})")
+    args = [int(x) for x in fields]
     if kind == "finite":
-        return SubsetFamily.finite(int(x) for x in rest.split(","))
+        return SubsetFamily.finite(args)
     if kind == "ap":
-        a, d = (int(x) for x in rest.split(","))
-        return SubsetFamily.arithmetic(a, d)
+        return SubsetFamily.arithmetic(*args)
     if kind == "geo":
-        return SubsetFamily.geometric(int(rest))
-    if kind == "primes":
-        return SubsetFamily.primes()
-    raise UsageError(f"unknown subset family {token!r} "
-                     "(use finite:..., ap:a,d, geo:b, primes)")
+        return SubsetFamily.geometric(*args)
+    return SubsetFamily.primes()
 
 
 def _add_common(parser, suppress: bool):

@@ -68,6 +68,32 @@ class TestEtaTerm:
         assert abs(partial - 1j / math.pi) < 1e-6
 
 
+class TestQuadratureConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("abs_tol", math.nan), ("abs_tol", math.inf), ("abs_tol", 0.0),
+        ("rel_tol", math.nan), ("rel_tol", math.inf), ("rel_tol", -1e-9),
+        ("t_split", math.nan), ("t_split", 0.0),
+        ("max_subdivisions", -1), ("precision_bits", 0)])
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            QuadratureConfig(**{field: value})
+
+    def test_smallest_accepted_values(self):
+        cfg = QuadratureConfig(abs_tol=5e-324, max_subdivisions=0, precision_bits=1)
+        assert (cfg.abs_tol, cfg.max_subdivisions, cfg.precision_bits) == (5e-324, 0, 1)
+
+
+def patch_kernels_sensitive_to_d(monkeypatch):
+    """Scale the real kernel of eta_term and the complex one of the reference
+    by the same factor 1 + 2^56 (d - 64)."""
+    factor = lambda d: 1 + mpmath.ldexp(d - 64, 56)
+    kernel, kernel_im = circle._kernel_mp, circle._kernel_im_mp
+    monkeypatch.setattr(circle, "_kernel_mp", lambda x, y, t: kernel(x, y, t)
+                        * factor(x - y))
+    monkeypatch.setattr(circle, "_kernel_im_mp", lambda d, t, four_pi:
+                        kernel_im(d, t, four_pi) * factor(d))
+
+
 class TestEtaTermMemos:
     """The audit and Fubini quadratures evaluate each distinct argument once
     and still return the bytes of the unmemoized code."""
@@ -83,13 +109,13 @@ class TestEtaTermMemos:
     def test_kernel_once_per_distinct_argument(self, n, kwargs, value, distinct,
                                                monkeypatch):
         calls = []
-        kernel = circle._kernel_mp
+        kernel = circle._kernel_im_mp
 
-        def spy(x, y, t):
-            calls.append((x - y, t, mpmath.mp.prec))
-            return kernel(x, y, t)
+        def spy(d, t, four_pi):
+            calls.append((d, t, mpmath.mp.prec))
+            return kernel(d, t, four_pi)
 
-        monkeypatch.setattr(circle, "_kernel_mp", spy)
+        monkeypatch.setattr(circle, "_kernel_im_mp", spy)
         assert repr(eta_term(n, **kwargs)) == value
         assert len(calls) == len(set(calls)) == distinct  # 10,614 calls unmemoized
 
@@ -125,11 +151,76 @@ class TestEtaTermMemos:
         # bits (64 inside the inner quadrature) the reference takes about 1 s
         cfg = QuadratureConfig(abs_tol=1.0, rel_tol=1.0, precision_bits=24)
         plain = eta_term(64, cfg, audit=True)
-        kernel = circle._kernel_mp
-        monkeypatch.setattr(circle, "_kernel_mp", lambda x, y, t: kernel(x, y, t)
-                            * (1 + mpmath.ldexp((x - y) - 64, 56)))
+        patch_kernels_sensitive_to_d(monkeypatch)
         expected = eta_term_reference(64, cfg, audit=True)
         assert repr(eta_term(64, cfg, audit=True)) == repr(expected) != repr(plain)
+
+
+# tolerances every quadrature meets, as in the kernel-sensitive memo test
+LOOSE = {"abs_tol": 1.0, "rel_tol": 1.0}
+AUDIT, FUBINI = {"audit": True}, {"order": "x_then_t"}
+FAST_N = (1, 2, 3, 4, 5, 7, 8, 13, 16, 21, 32, 34, 45, 64, 100, 1000)
+
+
+class TestEtaTermOracleSweep:
+    """eta_term against the complex-kernel reference, by repr, at low working
+    precision.  At 80 bits a rounding at the wrong internal precision (4 pi
+    at the caller's precision, d outside the inner quadrature) vanishes in
+    the returned double; at 24 to 53 bits it shows in some of these terms."""
+
+    SWEEP = [pytest.param(bits, kwargs, ns, id=f"{bits}-{mode}")
+             for mode, kwargs, cases in [
+                 ("fast", {}, [(24, FAST_N), (30, FAST_N), (53, FAST_N)]),
+                 ("audit", AUDIT, [(24, (3, 13, 21, 45, 64)), (30, (3, 13, 21, 45, 64)),
+                                   (53, (13, 45))]),
+                 ("fubini", FUBINI, [(24, (13, 45)), (30, (13, 45)), (53, (13,))])]
+             for bits, ns in cases]
+
+    @pytest.mark.parametrize("bits, kwargs, ns", SWEEP)
+    def test_terms_match_reference(self, bits, kwargs, ns):
+        cfg = QuadratureConfig(precision_bits=bits, **LOOSE)
+        got = [repr(eta_term(n, cfg, **kwargs)) for n in ns]
+        assert got == [repr(eta_term_reference(n, cfg, **kwargs)) for n in ns]
+
+    @pytest.mark.parametrize("bits, kwargs", [(24, {}), (24, AUDIT), (24, FUBINI),
+                                              (30, {}), (53, {})],
+                             ids=["24-fast", "24-audit", "24-fubini", "30-fast", "53-fast"])
+    def test_quadrature_error_matches_reference(self, bits, kwargs):
+        # the partial is the complex value of the complex integrand
+        cfg = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30, max_subdivisions=0,
+                               precision_bits=bits)
+        failures = []
+        for term in (eta_term, eta_term_reference):
+            with pytest.raises(QuadratureError) as info:
+                term(21, cfg, **kwargs)
+            failures.append(info.value)
+        got, expected = failures
+        assert isinstance(got.partial, mpmath.mpc)
+        assert repr(got.partial) == repr(expected.partial)
+        assert repr(got.error_estimate) == repr(expected.error_estimate)
+        assert str(got) == str(expected)
+
+    @pytest.mark.parametrize("kwargs", [{}, AUDIT, FUBINI], ids=["fast", "audit", "fubini"])
+    def test_kernel_gets_four_pi_at_its_working_precision(self, kwargs, monkeypatch):
+        kernel, wrong = circle._kernel_im_mp, []
+
+        def spy(d, t, four_pi):
+            if four_pi != 4 * mpmath.pi:
+                wrong.append(mpmath.mp.prec)
+            return kernel(d, t, four_pi)
+
+        monkeypatch.setattr(circle, "_kernel_im_mp", spy)
+        eta_term(13, QuadratureConfig(precision_bits=24, **LOOSE), **kwargs)
+        assert wrong == []
+
+    def test_fubini_memo_exact_under_a_kernel_sensitive_to_d(self, monkeypatch):
+        # the inner s-quadratures compute d = 64 at every outer x node; at
+        # the outer quadrature's precision (44 bits) d is one ulp below 64 at
+        # some nodes, which this kernel would magnify
+        cfg = QuadratureConfig(precision_bits=24, **LOOSE)
+        patch_kernels_sensitive_to_d(monkeypatch)
+        expected = eta_term_reference(64, cfg, **FUBINI)
+        assert repr(eta_term(64, cfg, **FUBINI)) == repr(expected)
 
 
 class TestCircleExact:

@@ -79,6 +79,35 @@ class TestCircle:
         errors = [float(e) for e in payload["results"]["per_term_errors"]]
         assert all(e < 1e-9 for e in errors)
 
+    @pytest.mark.parametrize("subset, family", [("finite:3,1", "finite:{1,3}"),
+                                                ("ap:2,3", "ap:2,3"), ("geo:3", "geo:3"),
+                                                ("primes", "primes")])
+    def test_subset_syntax(self, subset, family):
+        payload, code = run_json(["circle", "--subset", subset, "--terms", "2"])
+        assert code == 0 and payload["results"]["family"] == family
+
+    @pytest.mark.parametrize("subset", ["finite:", "finite:1,,2", "ap:1", "ap:1,2,3",
+                                        "geo:", "geo:2.5", "primes:3", "primes:", "fib:1"])
+    def test_malformed_subset_is_a_usage_error(self, subset, capsys):
+        assert main(["circle", "--subset", subset, "--terms", "3"]) == 1
+        err = capsys.readouterr().err
+        first = err.splitlines()[0]
+        assert first.startswith("usage error: ") and repr(subset) in first
+        assert "(use finite:n1,n2,..., ap:a,d, geo:b or primes)" in first
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_tolerance_exits_1_before_any_quadrature(self, tol, capsys, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr("mpmath.quad", no_quadrature)
+        argv = ["circle", "--subset", "finite:1,2,3,4,5", "--audit", f"--tol={tol}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: abs_tol must be positive and finite")
+        assert err.count("\n") == 1
+
 
 class TestZooAndGrowth:
     def test_normalize(self):
