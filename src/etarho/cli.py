@@ -64,7 +64,18 @@ class UsageError(Exception):
     pass
 
 
+# negative numbers that an option may take as its value: -7, -1/2, -2.5,
+# -1e-9, -inf (argparse itself knows only the forms -7 and -2.5 and reads
+# the others as unknown options)
+_NEGATIVE_NUMBER = re.compile(r"-(\d+(/\d+)?|(\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?)\Z",
+                              re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise UsageError(message)
 
@@ -363,9 +374,9 @@ def _cmd_zoo(args) -> RunReport:
             "elements": sorted(group.format_element(el) for el in ball)[:500],
         }
         if isinstance(group, QSemidirect):
-            kernel_flags = [conjugate_of_one_test(el) for el in sorted(ball)]
+            # None marks an element outside the rational kernel: not tested
             results["class_ball"]["all_in_positive_rationals"] = all(
-                flag for flag in kernel_flags if flag is not None)
+                conjugate_of_one_test(el) is not False for el in ball)
     if args.intersect_integers:
         if not isinstance(group, (QSemidirect, HnnShift)):
             raise UsageError("--intersect-integers needs qsemi or hnn")

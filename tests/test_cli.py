@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -107,6 +108,47 @@ class TestCircle:
         err = capsys.readouterr().err
         assert err.startswith("error: abs_tol must be positive and finite")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["-1e-9", "-inf"])
+    def test_negative_tolerance_as_a_separate_argument(self, tol, capsys, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr("mpmath.quad", no_quadrature)
+        argv = ["circle", "--subset", "finite:1,2,3,4,5", "--audit", "--tol", tol]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: abs_tol must be positive and finite")
+        assert err.count("\n") == 1
+
+
+class TestNegativeValues:
+    """A negative number after a value-taking option is its value, as with '='."""
+
+    @pytest.mark.parametrize("argv", [
+        ["circle", "--subset", "geo:2", "--terms", "10", "--ahat", "-1/2"],
+        ["circle", "--subset", "geo:2", "--terms", "10", "--ahat", "-2.5"],
+        ["circle", "--subset", "geo:2", "--terms", "10", "--ahat", "-1E1"],
+        ["ringcheck", "--orders", "3,5", "--value", "-7/15"],
+        ["lens", "--n", "5", "--weights", "1,2", "--defect-scale", "-1/2"],
+        ["lens", "--n", "5", "--weights", "1,2", "--defect-scale", "-3"],
+    ], ids=" ".join)
+    def test_same_as_the_equals_form(self, argv):
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        _, rendered, code = run(argv)
+        assert code == 0 and (rendered, code) == run(joined)[1:]
+
+    @pytest.mark.parametrize("token", ["-x", "--", "-1/", "-e5", "-nan"])
+    def test_other_dash_tokens_are_still_options(self, token, capsys):
+        assert main(["ringcheck", "--orders", "3", "--value", token]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_normalize_dash_still_reads_stdin(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("t e:0 t^-1\n\nq:1\n"))
+        payload, code = run_json(["zoo", "--group", "hnn", "--normalize", "-"])
+        assert code == 0
+        assert [f["normal_form"] for f in payload["results"]["normal_forms"]] == [
+            "(q=0 | e[1]^1)", "(q=1 | -)"]
 
 
 class TestZooAndGrowth:
@@ -340,6 +382,16 @@ class TestCliBehavior:
          "7c34f6dd06d08ef09fcfecd67233938611a9db8cd2f2d0111377d5e3b5eea55b"),
         (["zoo", "--group", "qsemi", "--class-of", "e:0 e:1", "--radius", "6"],
          "804ef1f0f87337875b731945624d80d84573266c21ae51de069e23055539d997"),
+        # taken before the HnnShift conjugate BFS used closed-form conjugators;
+        # the growth counts are 1, 5, 25, 115, 529, 2395, 10765
+        (["growth", "--group", "hnn", "--element", "t", "--max-radius", "6"],
+         "ec9ab977b18c35c47f07ce62e0f071cd9658ef9199821c5add133f866a48c9ae"),
+        (["zoo", "--group", "hnn", "--class-of", "q:1/2 t", "--radius", "5"],
+         "b4d0f25136bee98ffe3dabd142154f1e6f59a967e3d47972672a02554270391a"),
+        (["zoo", "--group", "qsemi", "--class-of", "e:0 e:1", "--radius", "5"],
+         "4240ef5c5d274d88fe69c42c216f5389846e5387da514fb10811c4f814f9eaf3"),
+        (["zoo", "--group", "lamplighter:3", "--ball", "5", "--format", "tsv"],
+         "a68b3af2ace6e8b8fced3c0ff03af4c554de182e4d369a204dbe62e8a32df3ee"),
     ])
     def test_zoo_stdout_pinned(self, argv, digest, capsys):
         assert main(argv) == 0

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -212,6 +214,55 @@ class TestJunctionProducts:
         for word in ("e:0^10001", "e:0^-99999999", "e:10001", "e:-99999999^2", "e^10001"):
             with pytest.raises(ZooError, match="above the cap of"):
                 normalize(gamma, word)
+
+
+class TestFusedConjugation:
+    """HnnShift.conjugators and the parent-skipping BFS against plain products."""
+
+    def test_conjugators_match_products_and_oracle(self, hnn):
+        oracle = zoo_oracle.OracleHnn()
+        gens = [g for _, g in hnn.generators()]
+        pairs = list(zip(gens, [hnn.inv(g) for g in gens], hnn.conjugators()))
+        assert len(pairs) == 6
+        letters = gens + [normalize(oracle, w) for w in TestJunctionProducts.EXTRA_WORDS]
+        rng = random.Random(157)
+        for _ in range(10_000):
+            u = normalize(hnn, [rng.choice(letters) for _ in range(rng.randint(0, 8))])
+            for g, g_inv, conjugate in pairs:
+                got = conjugate(u)
+                assert repr(got) == repr(hnn.mul(g, hnn.mul(u, g_inv))), (u, g)
+                assert got == zoo_oracle.conjugate(oracle, g, u), (u, g)
+
+    # HnnShift's word ball order is checked in TestJunctionProducts
+    @pytest.mark.parametrize("group, radius", [
+        (Lamplighter(2), 7), (Lamplighter(3), 5), (Cyclic(1), 3), (Cyclic(2), 3),
+        (Cyclic(5), 4), (Product(Cyclic(3), Lamplighter(2)), 4)],
+        ids=lambda v: getattr(v, "name", v))
+    def test_word_ball_matches_oracle_in_order(self, group, radius):
+        got = word_ball(group, radius).elements
+        assert list(got.items()) == list(zoo_oracle.word_ball(group, radius).items())
+
+    @pytest.fixture(scope="class")
+    def oracle_balls(self, hnn):
+        """(h, its radius-4 conjugate ball, the radius-4 word ball) by the oracle."""
+        oracle = zoo_oracle.OracleHnn()
+        h = normalize(hnn, "q:1/2 t")
+        conjugates = zoo_oracle.ball(oracle, h,
+                                     lambda c, g: zoo_oracle.conjugate(oracle, g, c), 4)
+        return h, conjugates, zoo_oracle.word_ball(oracle, 4)
+
+    @pytest.mark.parametrize("budget", [1, 6, 36, 50, 400])
+    def test_node_budget_fires_at_the_same_radius(self, hnn, oracle_balls, budget,
+                                                  monkeypatch):
+        h, conjugates, words = oracle_balls
+        monkeypatch.setattr(zoo, "DEFAULT_NODE_BUDGET", budget)
+        for search, full in ((lambda: class_ball(hnn, h, 4), conjugates),
+                             (lambda: word_ball(hnn, 4), words)):
+            sizes = accumulate(Counter(full.values())[r] for r in range(5))
+            radius = next(r for r, size in enumerate(sizes) if size > budget)
+            with pytest.raises(CapExceededError) as caught:
+                search()
+            assert str(caught.value) == f"ball exceeded node budget {budget} at radius {radius}"
 
 
 class TestLamplighter:

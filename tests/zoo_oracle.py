@@ -95,14 +95,17 @@ def word_ball(group, radius: int) -> dict:
     return ball(group, group.identity, group.mul, radius)
 
 
+def conjugate(group, g, u):
+    """g u g^-1 as two plain products."""
+    return group.mul(g, group.mul(u, group.inv(g)))
+
+
 def class_levels(group, h, radius: int) -> list[set]:
     """Level r holds the conjugates w h w^-1 first reached at |w| = r; for
     QSemidirect, the base-group values of the conjugate BFS in OracleHnn."""
     ambient = OracleHnn() if isinstance(group, QSemidirect) else group
     start = ambient.from_base(h) if ambient is not group else h
-    inverse = {g: ambient.inv(g) for _, g in ambient.generators()}
-    dist = ball(ambient, start,
-                lambda c, g: ambient.mul(g, ambient.mul(c, inverse[g])), radius)
+    dist = ball(ambient, start, lambda c, g: conjugate(ambient, g, c), radius)
     levels = [set() for _ in range(radius + 1)]
     for c, r in dist.items():
         if ambient is group:
