@@ -21,6 +21,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 import mpmath
+from mpmath.calculus.quadrature import TanhSinh
+from mpmath.libmp import mpf_add
 
 from . import _ntheory
 
@@ -100,6 +102,86 @@ def _quad_with_tolerance(f, interval, cfg: QuadratureConfig, what: str):
         f"after {cfg.max_subdivisions} retries", last_val, last_err)
 
 
+class _GroupedTanhSinh(TanhSinh):
+    """Tanh-sinh rule for an integrand that reads x only through ``key(x)``.
+
+    A step sum of ``TanhSinh`` is sum_k w_k f(x_k).  This rule groups the
+    nodes of a step by key, keeps one representative x and the exact weight
+    sum W of each class (cached per interval, degree, precision and working
+    precision), and sums W f(x) over the classes, so f runs once per class.
+    ``fdot`` multiplies exactly and rounds once, in ``mpf_sum``, which adds
+    exactly unless two terms lie more than 2 * prec bits apart in exponent.
+    Every term of either sum has the exponent of a weight (a node's or a
+    class sum) plus that of a value, so when the exponent span of the weights
+    plus that of the nonzero values is at most 2 * prec, both sums round the
+    same exact number once and agree bit for bit.  Otherwise, or if a value
+    is not a finite mpf, the step sums over every node as ``TanhSinh`` does.
+
+    The nodes are those of ``mp._tanh_sinh``, the rule ``quad`` uses by
+    default, taken from its cache as ``quad`` would; ``guess_degree`` is
+    computed once per precision.
+    """
+
+    def __init__(self, ctx, key):
+        super().__init__(ctx)
+        self._key = key
+        self._interval = None
+        self._classes = {}  # (a, b, degree, prec, working prec) -> classes
+        self._degrees = {}  # prec -> guess_degree(prec)
+
+    def guess_degree(self, prec):
+        degree = self._degrees.get(prec)
+        if degree is None:
+            degree = self._degrees[prec] = super().guess_degree(prec)
+        return degree
+
+    def get_nodes(self, a, b, degree, prec, verbose=False):
+        self._interval = (a, b)  # summation passes these nodes to sum_next
+        return self.ctx._tanh_sinh.get_nodes(a, b, degree, prec, verbose)
+
+    def _group(self, nodes):
+        classes = {}  # key -> [representative x, raw exact weight sum]
+        for x, w in nodes:
+            key = self._key(x)
+            cls = classes.get(key)
+            if cls is None:
+                classes[key] = [x, w._mpf_]
+            else:
+                cls[1] = mpf_add(cls[1], w._mpf_, 0)
+        sums = [w for _, w in classes.values()]
+        return ([x for x, _ in classes.values()], [self.ctx.make_mpf(w) for w in sums],
+                _exponent_span([w._mpf_ for _, w in nodes] + sums))
+
+    def sum_next(self, f, nodes, degree, prec, previous, verbose=False):
+        ctx = self.ctx
+        key = (*self._interval, degree, prec, ctx.prec)
+        classes = self._classes.get(key)
+        if classes is None:
+            classes = self._classes[key] = self._group(nodes)
+        reps, weights, weight_span = classes
+        values = [f(x) for x in reps]
+        if all(type(value) is ctx.mpf for value in values):
+            value_span = _exponent_span([value._mpf_ for value in values])
+            if value_span is not None and weight_span + value_span <= 2 * ctx.prec:
+                # TanhSinh's step sum over the classes: each (value, weight)
+                # pair is a node, and the integrand is the identity
+                return super().sum_next(lambda value: value, zip(values, weights),
+                                        degree, prec, previous, verbose)
+        return super().sum_next(f, nodes, degree, prec, previous, verbose)
+
+
+def _exponent_span(raw):
+    """Largest minus smallest exponent of the nonzero raw mpfs in ``raw``
+    (0 if there are none), or None if one of them is inf or nan."""
+    exps = []
+    for _, man, exp, _ in raw:
+        if man:
+            exps.append(exp)
+        elif exp:  # inf or nan
+            return None
+    return max(exps) - min(exps) if exps else 0
+
+
 def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False,
              order: str = "t_then_x") -> complex:
     """Numerical value of the single deck-translation term; approx i/(pi n).
@@ -118,16 +200,24 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
     same numbers and the term is ``complex(0, value)``, bit for bit.  4 pi,
     n^2 and d at x = 1/2 are computed once per working precision.
 
-    Every quadrature node is visited, but the integrand reads x only through
-    the computed d = (x + n) - x, so where x varies (audit and ``x_then_t``)
-    one call memoizes it on the raw mpf tuples of (d, t) and the working
-    precision; d itself is computed once per x node and precision.  Equal
-    keys are bitwise-equal inputs to the same floating-point operations, so
-    a hit returns the very value a fresh evaluation would.  Likewise the
-    inner s-quadrature of ``x_then_t`` is a pure function of the integrand
-    values, hence of d at the precision the integrand runs at, and is
-    memoized on that d.  The memos live and die with the call.  An audit
-    term at n = 45 evaluates the kernel at 266 distinct (d, t, precision).
+    The integrand reads x only through the computed d = (x + n) - x, so
+    where x varies (audit and ``x_then_t``) one call memoizes it on the raw
+    mpf tuples of (d, t) and the working precision; d itself is computed
+    once per x node and precision.  Equal keys are bitwise-equal inputs to
+    the same floating-point operations, so a hit returns the very value a
+    fresh evaluation would.  The audit's inner x-quadratures go further:
+    their rule (``_GroupedTanhSinh``) groups the nodes of each step by d,
+    once per degree and precision for the whole term, sums each class's
+    weights exactly and calls the integrand once per class.  The step sum
+    is then the one mpmath forms over every node, bit for bit, whenever the
+    exponent spans of the weights and of the class values together fit in
+    the 2 * prec bits that ``mpf_sum`` adds exactly; where they do not, the
+    step sums over every node.  Likewise the inner s-quadrature of
+    ``x_then_t`` is a pure function of the integrand values, hence of d at
+    the precision the integrand runs at, and is memoized on that d.  The
+    memos and the rule live and die with the call.  An audit term at
+    n = 45 calls its inner integrand 606 times (10,614 with one call per
+    node) and evaluates the kernel at 266 distinct (d, t, precision).
     On failure, ``QuadratureError.partial`` is the complex value 0 + i y.
     """
     if n < 1:
@@ -179,10 +269,12 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
 
         if order == "t_then_x":
             if audit:
+                rule = _GroupedTanhSinh(mpmath.mp, lambda x: d_of(x)._mpf_)
+
                 def outer(s):
                     t, jacobian = t_and_jacobian(s)
                     inner, _ = mpmath.quad(lambda x: t_integrand_memo(x, t), [0, 1],
-                                           error=True)
+                                           error=True, method=lambda ctx: rule)
                     return inner * jacobian
             else:
                 def outer(s):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -523,7 +524,14 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:  # a rational argument such as 1/0
         print(f"error: zero denominator: {exc}", file=sys.stderr)
         return 1
-    print(rendered)
+    try:
+        print(rendered)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader left: point stdout at devnull so the flush at exit
+        # fails no more, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

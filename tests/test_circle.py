@@ -223,6 +223,103 @@ class TestEtaTermOracleSweep:
         assert repr(eta_term(64, cfg, **FUBINI)) == repr(expected)
 
 
+def step_key(x):
+    return int(mpmath.floor(7 * x))  # 7 classes on [0, 1), 8 with nodes that round to 1
+
+
+def step_value(key):
+    # a function of the key alone, computed at the working precision
+    return mpmath.mpf(2 * key - 5) / 3
+
+
+def step_sums(rule, f, bits, degrees=6):
+    """The step sums of ``rule`` on [0, 1] at degrees 1..degrees, as ``quad``
+    forms them at ``bits``: 20 bits up, each reusing the ones before."""
+    sums = []
+    with mpmath.workprec(bits + 20):
+        a, b = mpmath.mpf(0), mpmath.mpf(1)
+        for degree in range(1, degrees + 1):
+            nodes = rule.get_nodes(a, b, degree, bits)
+            sums.append(rule.sum_next(f, nodes, degree, bits, sums))
+    return [repr(value) for value in sums]
+
+
+class TestGroupedRule:
+    """The audit's inner rule sums the weights of each class of equal keys
+    exactly and evaluates the integrand once per class, with the bits of
+    mpmath's own tanh-sinh rule."""
+
+    @pytest.mark.parametrize("bits", [24, 53, 80])
+    def test_step_integrand_matches_default_quad(self, bits):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return step_value(step_key(x))
+
+        with mpmath.workprec(bits):
+            expected = mpmath.quad(f, [0, 1], error=True)
+            rule = circle._GroupedTanhSinh(mpmath.mp, step_key)
+            got = mpmath.quad(f, [0, 1], error=True, method=lambda ctx: rule)
+        assert repr(got) == repr(expected)
+        expected = step_sums(mpmath.mp._tanh_sinh, f, bits)  # 351 nodes at 24 bits
+        del calls[:]
+        assert step_sums(rule, f, bits) == expected
+        assert len(calls) <= 6 * 8  # once per class: at most 8 at each degree
+
+    @pytest.mark.parametrize("bits", [24, 53])
+    def test_values_far_apart_sum_over_every_node(self, bits):
+        # values 2^(-p m), p the working precision: the terms of mirrored keys
+        # k and 6 - k cancel, and the rest lie more than 2 p bits apart, where
+        # mpf_sum drops terms depending on their order (grouped sums differ)
+        def f(x):
+            seen.add(x._mpf_)
+            key, prec = step_key(x), mpmath.mp.prec
+            if key in (3, 7):
+                return mpmath.ldexp(1, -3 * prec)
+            return mpmath.ldexp(1 if key < 3 else -1, -prec * min(key, 6 - key))
+
+        seen = set()
+        rule = circle._GroupedTanhSinh(mpmath.mp, step_key)
+        assert step_sums(rule, f, bits) == step_sums(mpmath.mp._tanh_sinh, f, bits)
+        with mpmath.workprec(bits):
+            seen = set()
+            expected = mpmath.quad(f, [0, 1], error=True)
+            every_node = seen
+            seen = set()
+            got = mpmath.quad(f, [0, 1], error=True, method=lambda ctx: rule)
+        assert repr(got) == repr(expected)
+        assert seen == every_node
+
+    def test_audit_terms_under_a_kernel_sensitive_to_d_in_both_orders(self,
+                                                                       monkeypatch):
+        # the classes are those of one term: at n = 64 some x nodes compute
+        # d = 64 and others one ulp below, which this kernel magnifies
+        cfg = QuadratureConfig(precision_bits=24, **LOOSE)
+        patch_kernels_sensitive_to_d(monkeypatch)
+        expected = {n: repr(eta_term_reference(n, cfg, **AUDIT)) for n in (45, 64)}
+        for ns in [(45, 64), (64, 45)]:
+            assert [repr(eta_term(n, cfg, **AUDIT)) for n in ns] == [expected[n]
+                                                                    for n in ns]
+
+    def test_integrand_once_per_class(self, monkeypatch):
+        quad, calls, degrees = mpmath.quad, [], []
+        guess = mpmath.calculus.quadrature.QuadratureRule.guess_degree
+
+        def counting_quad(f, *points, **kwargs):
+            if points == ([0, 1],):
+                g = f
+                f = lambda x: calls.append(1) or g(x)
+            return quad(f, *points, **kwargs)
+
+        monkeypatch.setattr(mpmath, "quad", counting_quad)
+        monkeypatch.setattr(mpmath.calculus.quadrature.QuadratureRule, "guess_degree",
+                            lambda rule, prec: degrees.append(prec) or guess(rule, prec))
+        assert repr(eta_term(45, audit=True)) == "0.007073553026306459j"
+        assert len(calls) <= 650  # 10,614 with one call per node
+        assert len(degrees) == 1  # once per precision, not once per inner quad
+
+
 class TestCircleExact:
     def test_str_and_complex(self):
         v = closed_form_term(2)

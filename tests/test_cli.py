@@ -248,6 +248,22 @@ class TestCliBehavior:
                              capture_output=True, text=True, timeout=120)
         assert bad.returncode == 1 and bad.stderr.startswith("usage error: ")
 
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        # the read end is closed before the child starts, so its first write
+        # to stdout meets a broken pipe
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "etarho", "growth", "--group",
+                                   "hnn", "--element", "t", "--max-radius", "3"],
+                                  env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["lens", "--does-not-exist"]) == 1
         assert "usage" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import islice
+from math import floor, gcd
 
 import mpmath
 import pytest
@@ -96,6 +97,64 @@ class TestDelocalizedTable:
         base = lens_delocalized_rho(LensSpace(5, (1, 2)))
         scaled = lens_delocalized_rho(LensSpace(5, (1, 2)), Fraction(3, 2))
         assert all(s == v * Fraction(3, 2) for v, s in zip(base.values, scaled.values))
+
+
+def dedekind_sum(h, k):
+    """s(h, k) for coprime h and k >= 1, by reciprocity:
+    s(h, k) + s(k, h) = (h/k + k/h + 1/(h k)) / 12 - 1/4, and s(h, 1) = 0."""
+    total, sign = Fraction(0), 1
+    h %= k
+    while k > 1:
+        total += sign * (Fraction(h * h + k * k + 1, 12 * h * k) - Fraction(1, 4))
+        sign = -sign
+        h, k = k % h, h
+    return total
+
+
+def sawtooth(x):
+    return Fraction(0) if x.denominator == 1 else x - floor(x) - Fraction(1, 2)
+
+
+def lens3_rho2(n, q, scale=1):
+    """rho2(L(n; 1, q)) = scale (2 s(q, n) - s(2q, n) - s(hq, n)), h = (n+1)/2:
+    the cotangent sums of the table (j -> 2j, csc 2t = cot t - cot 2t) are
+    Dedekind sums (Rademacher and Grosswald, Dedekind Sums, 1972)."""
+    h = (n + 1) // 2
+    return scale * (2 * dedekind_sum(q, n) - dedekind_sum(2 * q, n)
+                    - dedekind_sum(h * q, n))
+
+
+class TestDedekindOracle:
+    """rho2 of the 3-dimensional lens spaces from Dedekind sums, a closed form
+    independent of the cyclotomic table."""
+
+    def test_reciprocity_matches_the_sawtooth_sum(self):
+        for k in range(1, 32):
+            for h in range(-k, 2 * k):
+                if gcd(h, k) == 1:
+                    direct = sum((sawtooth(Fraction(r, k)) * sawtooth(Fraction(h * r, k))
+                                  for r in range(1, k)), Fraction(0))
+                    assert dedekind_sum(h, k) == direct, (h, k)
+
+    # every q for n <= 15, and a fixed sample above (all 212 spaces with
+    # odd n <= 31 agree, but n = 31 costs about 0.3 s a table)
+    SPACES = ([(n, q) for n in range(3, 16, 2) for q in range(1, n) if gcd(q, n) == 1]
+              + [(21, 2), (21, 8), (21, 20), (25, 3), (25, 12), (25, 24),
+                 (31, 2), (31, 12), (31, 30)])
+
+    def test_rho2_matches_the_table(self):
+        for n, q in self.SPACES:
+            rho = lens_delocalized_rho(LensSpace(n, (1, q)))
+            assert rho2_from_delocalized(rho).as_rational() == lens3_rho2(n, q), (n, q)
+
+    def test_scale_is_a_factor(self):
+        scale = Fraction(7, 3)
+        for n in (3, 5, 7, 9):
+            for q in range(1, n):
+                if gcd(q, n) == 1:
+                    rho = lens_delocalized_rho(LensSpace(n, (1, q)), scale)
+                    assert (rho2_from_delocalized(rho).as_rational()
+                            == lens3_rho2(n, q, scale)), (n, q)
 
 
 class TestTwistedRho:
