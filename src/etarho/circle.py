@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 import mpmath
 from mpmath.calculus.quadrature import TanhSinh
-from mpmath.libmp import mpf_add
+from mpmath.libmp import (mpf_add, mpf_div, mpf_exp, mpf_mul, mpf_neg, mpf_pos,
+                          mpf_shift, mpf_sqrt, mpf_sum)
 
 from . import _ntheory
 
@@ -76,16 +78,23 @@ def kernel_value(x: float, y: float, t: float) -> complex:
     return 1j * d / (2.0 * t * math.sqrt(4.0 * math.pi * t)) * math.exp(arg)
 
 
-def _kernel_mp(x, y, t):
-    d = x - y
-    return (1j * d / (2 * t * mpmath.sqrt(4 * mpmath.pi * t))
-            * mpmath.exp(-(d * d) / (4 * t)))
+def _t_integrand_raw(d, neg_d2, t, four_pi, inv_sqrt_pi, prec, rnd):
+    """The t-integrand of an eta term on raw mpf tuples, rounded at ``prec``.
 
-
-def _kernel_im_mp(d, t, four_pi):
-    """Imaginary part of ``_kernel_mp(x, y, t)`` at d = x - y, operation for
-    operation, with ``four_pi`` = 4 * pi at the working precision."""
-    return d / (2 * t * mpmath.sqrt(four_pi * t)) * mpmath.exp(-(d * d) / (4 * t))
+    This is inv_sqrt_pi * Im k_t / sqrt(t), with Im k_t = d / (2 t sqrt(4 pi
+    t)) * exp(-(d d) / (4 t)) the imaginary part of the line kernel at
+    d = x - y.  ``neg_d2`` = -(d d) and ``four_pi`` = 4 pi are rounded at
+    ``prec``.  The operations and their order are those of the ``mpf``
+    expression, so the result has its bits: 2 t and 4 t are exponent shifts,
+    exact because t has at most ``prec`` bits, and the rest round at
+    ``prec`` as the ``mpf`` operators and ``mpmath.sqrt``/``exp`` do.
+    """
+    root = mpf_sqrt(mpf_mul(four_pi, t, prec, rnd), prec, rnd)
+    kernel = mpf_mul(mpf_div(d, mpf_mul(mpf_shift(t, 1), root, prec, rnd), prec, rnd),
+                     mpf_exp(mpf_div(neg_d2, mpf_shift(t, 2), prec, rnd), prec, rnd),
+                     prec, rnd)
+    return mpf_div(mpf_mul(inv_sqrt_pi, kernel, prec, rnd), mpf_sqrt(t, prec, rnd),
+                   prec, rnd)
 
 
 def _quad_with_tolerance(f, interval, cfg: QuadratureConfig, what: str):
@@ -103,23 +112,29 @@ def _quad_with_tolerance(f, interval, cfg: QuadratureConfig, what: str):
 
 
 class _GroupedTanhSinh(TanhSinh):
-    """Tanh-sinh rule for an integrand that reads x only through ``key(x)``.
+    """Tanh-sinh rule on one interval for a raw integrand that reads x only
+    through ``key(x)``.
 
-    A step sum of ``TanhSinh`` is sum_k w_k f(x_k).  This rule groups the
-    nodes of a step by key, keeps one representative x and the exact weight
-    sum W of each class (cached per interval, degree, precision and working
-    precision), and sums W f(x) over the classes, so f runs once per class.
-    ``fdot`` multiplies exactly and rounds once, in ``mpf_sum``, which adds
-    exactly unless two terms lie more than 2 * prec bits apart in exponent.
-    Every term of either sum has the exponent of a weight (a node's or a
-    class sum) plus that of a value, so when the exponent span of the weights
-    plus that of the nonzero values is at most 2 * prec, both sums round the
-    same exact number once and agree bit for bit.  Otherwise, or if a value
-    is not a finite mpf, the step sums over every node as ``TanhSinh`` does.
+    The integrand ``f(x)`` returns a raw mpf tuple.  A step sum of
+    ``TanhSinh`` is sum_k w_k f(x_k).  This rule groups the nodes of a step
+    by key, keeps one representative x and the exact weight sum W of each
+    class (cached per interval, degree, precision and working precision),
+    and sums W f(x) over the classes, so f runs once per class.  ``fdot``
+    multiplies exactly and rounds once, in ``mpf_sum``, which adds exactly
+    unless two terms lie more than 2 * prec bits apart in exponent.  Every
+    term of either sum has the exponent of a weight (a node's or a class
+    sum) plus that of a value, so when the exponent span of the weights plus
+    that of the nonzero values is at most 2 * prec, both sums round the same
+    exact number once and agree bit for bit.  The grouped sum is then formed
+    on raw tuples as ``TanhSinh.sum_next`` forms it: the previous step times
+    2^(degree - 1), an exact shift, plus the ``mpf_sum``, in one ``mpf_add``,
+    times 2^-degree.  Otherwise, or if a value is inf or nan, the step sums
+    over every node as ``TanhSinh`` does.
 
     The nodes are those of ``mp._tanh_sinh``, the rule ``quad`` uses by
-    default, taken from its cache as ``quad`` would; ``guess_degree`` is
-    computed once per precision.
+    default, taken from its cache as ``quad`` would.  ``quad(f)`` is
+    ``mpmath.quad(f, [0, 1], method=...)`` with this rule, done without
+    ``quad``'s per-call set-up; ``summation`` takes a single interval.
     """
 
     def __init__(self, ctx, key):
@@ -127,13 +142,37 @@ class _GroupedTanhSinh(TanhSinh):
         self._key = key
         self._interval = None
         self._classes = {}  # (a, b, degree, prec, working prec) -> classes
-        self._degrees = {}  # prec -> guess_degree(prec)
+        self._setups = {}  # prec -> (epsilon, max degree) of quad
 
-    def guess_degree(self, prec):
-        degree = self._degrees.get(prec)
-        if degree is None:
-            degree = self._degrees[prec] = super().guess_degree(prec)
-        return degree
+    def quad(self, f):
+        """The raw value of ``mpmath.quad(f, [0, 1], method=lambda ctx: self)``:
+        epsilon = eps/8 and ``guess_degree`` at the caller's precision (cached
+        per precision), ``summation`` 20 bits up, and ``+v`` back at the
+        caller's precision."""
+        ctx = self.ctx
+        prec, rnd = ctx._prec_rounding
+        setup = self._setups.get(prec)
+        if setup is None:
+            setup = self._setups[prec] = (ctx.eps / 8, self.guess_degree(prec))
+        ctx.prec = prec + 20
+        try:
+            v, _ = self.summation(f, (0, 1), prec, *setup)
+        finally:
+            ctx.prec = prec
+        return mpf_pos(v._mpf_, prec, rnd)
+
+    def summation(self, f, points, prec, epsilon, max_degree, verbose=False):
+        # QuadratureRule.summation for one interval, whose total 0 + I is I
+        a, b = points
+        results, err = [], self.ctx.zero
+        for degree in range(1, max_degree + 1):
+            nodes = self.get_nodes(a, b, degree, prec, verbose)
+            results.append(self.sum_next(f, nodes, degree, prec, results, verbose))
+            if degree > 1:
+                err = self.estimate_error(results, prec, epsilon)
+                if err <= epsilon:
+                    break
+        return results[-1], err
 
     def get_nodes(self, a, b, degree, prec, verbose=False):
         self._interval = (a, b)  # summation passes these nodes to sum_next
@@ -149,25 +188,27 @@ class _GroupedTanhSinh(TanhSinh):
             else:
                 cls[1] = mpf_add(cls[1], w._mpf_, 0)
         sums = [w for _, w in classes.values()]
-        return ([x for x, _ in classes.values()], [self.ctx.make_mpf(w) for w in sums],
+        return ([x for x, _ in classes.values()], sums,
                 _exponent_span([w._mpf_ for _, w in nodes] + sums))
 
     def sum_next(self, f, nodes, degree, prec, previous, verbose=False):
         ctx = self.ctx
-        key = (*self._interval, degree, prec, ctx.prec)
+        wp, rnd = ctx._prec_rounding
+        key = (*self._interval, degree, prec, wp)
         classes = self._classes.get(key)
         if classes is None:
             classes = self._classes[key] = self._group(nodes)
         reps, weights, weight_span = classes
         values = [f(x) for x in reps]
-        if all(type(value) is ctx.mpf for value in values):
-            value_span = _exponent_span([value._mpf_ for value in values])
-            if value_span is not None and weight_span + value_span <= 2 * ctx.prec:
-                # TanhSinh's step sum over the classes: each (value, weight)
-                # pair is a node, and the integrand is the identity
-                return super().sum_next(lambda value: value, zip(values, weights),
-                                        degree, prec, previous, verbose)
-        return super().sum_next(f, nodes, degree, prec, previous, verbose)
+        value_span = _exponent_span(values)
+        if value_span is not None and weight_span + value_span <= 2 * wp:
+            # TanhSinh: h (previous / (2 h) + fdot), h = 2^-degree
+            total = mpf_sum([mpf_mul(w, v) for w, v in zip(weights, values)], wp, rnd)
+            if previous:
+                total = mpf_add(mpf_shift(previous[-1]._mpf_, degree - 1), total, wp, rnd)
+            return ctx.make_mpf(mpf_shift(total, -degree))
+        return super().sum_next(lambda x: ctx.make_mpf(f(x)), nodes, degree, prec,
+                                previous, verbose)
 
 
 def _exponent_span(raw):
@@ -192,74 +233,90 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
     midpoint rule (exact here), in audit mode by full quadrature, and
     ``order`` picks which integral is the outer one (Fubini check).
 
-    The kernel is i times a real function, so every integrand here returns
-    the imaginary part of the complex integrand of ``_kernel_mp`` as a real
-    mpf (``_kernel_im_mp``), operation for operation.  The real part would
-    be 0 at every step; mpc-by-mpf arithmetic is componentwise at the same
-    precision and rounding, and |0 + iy| is |y|, so the quadratures see the
-    same numbers and the term is ``complex(0, value)``, bit for bit.  4 pi,
-    n^2 and d at x = 1/2 are computed once per working precision.
+    The kernel is i times a real function, so every integrand here computes
+    the imaginary part of the complex integrand ``inv_sqrt_pi * k_t(x + n,
+    x) / sqrt(t) * dt/ds`` as a real value, operation for operation.  The
+    real part would be 0 at every step; mpc-by-mpf arithmetic is
+    componentwise at the same precision and rounding, and |0 + iy| is |y|,
+    so the quadratures see the same numbers and the term is
+    ``complex(0, value)``, bit for bit.  The integrands run on raw mpf
+    tuples at the working precision (``mpmath.libmp``): one raw kernel,
+    ``_t_integrand_raw``, looked up when ``eta_term`` is called, computes
+    the t-integrand from d, -(d d), t, 4 pi and 1/sqrt(pi); t = n^2/(4 s)
+    and dt/ds = n^2/(4 s s) are formed the same way, 4 s as an exact shift.
+    4 pi, n^2, d at x = 1/2 and its -(d d) are computed once per working
+    precision, and an outer integrand wraps its raw value in an ``mpf``
+    only for mpmath's outer quadrature.
 
     The integrand reads x only through the computed d = (x + n) - x, so
     where x varies (audit and ``x_then_t``) one call memoizes it on the raw
-    mpf tuples of (d, t) and the working precision; d itself is computed
-    once per x node and precision.  Equal keys are bitwise-equal inputs to
-    the same floating-point operations, so a hit returns the very value a
-    fresh evaluation would.  The audit's inner x-quadratures go further:
-    their rule (``_GroupedTanhSinh``) groups the nodes of each step by d,
-    once per degree and precision for the whole term, sums each class's
-    weights exactly and calls the integrand once per class.  The step sum
-    is then the one mpmath forms over every node, bit for bit, whenever the
-    exponent spans of the weights and of the class values together fit in
-    the 2 * prec bits that ``mpf_sum`` adds exactly; where they do not, the
-    step sums over every node.  Likewise the inner s-quadrature of
-    ``x_then_t`` is a pure function of the integrand values, hence of d at
-    the precision the integrand runs at, and is memoized on that d.  The
-    memos and the rule live and die with the call.  An audit term at
-    n = 45 calls its inner integrand 606 times (10,614 with one call per
-    node) and evaluates the kernel at 266 distinct (d, t, precision).
-    On failure, ``QuadratureError.partial`` is the complex value 0 + i y.
+    tuples of (d, t) and the working precision; d and -(d d) are computed
+    once per x node and precision, at the integrand's own precision.  Equal
+    keys are bitwise-equal inputs to the same floating-point operations, so
+    a hit returns the very value a fresh evaluation would.  The audit's
+    inner x-quadratures go further: their rule (``_GroupedTanhSinh``)
+    groups the nodes of each step by d, once per degree and precision for
+    the whole term, sums each class's weights exactly and calls the
+    integrand once per class.  The step sum is then the one mpmath forms
+    over every node, bit for bit, whenever the exponent spans of the
+    weights and of the class values together fit in the 2 * prec bits that
+    ``mpf_sum`` adds exactly; where they do not, the step sums over every
+    node.  The audit calls that rule directly (``_GroupedTanhSinh.quad``),
+    as ``mpmath.quad`` would: 20 guard bits, eps/8 and ``guess_degree``
+    cached per precision, and the final ``+v``.  Likewise the inner
+    s-quadrature of ``x_then_t`` is a pure function of the integrand
+    values, hence of d at the precision the integrand runs at, and is
+    memoized on that d.  The memos and the rule live and die with the
+    call.  An audit term at n = 45 calls its inner integrand 606 times
+    (10,614 with one call per node) and evaluates the kernel at 266
+    distinct (d, t, precision).  On failure, ``QuadratureError.partial`` is
+    the complex value 0 + i y.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if order not in ("t_then_x", "x_then_t"):
         raise ValueError("order must be 't_then_x' or 'x_then_t'")
+    kernel = _t_integrand_raw
     with mpmath.workprec(cfg.precision_bits):
+        ctx = mpmath.mp
         nn = mpmath.mpf(n)
-        inv_sqrt_pi = 1 / mpmath.sqrt(mpmath.pi)
-        invariants = {}  # precision -> (4 pi, n^2, d at x = 1/2)
-        d_at = {}  # (x, precision) -> (x + n) - x
+        inv_sqrt_pi = (1 / mpmath.sqrt(mpmath.pi))._mpf_
+        invariants = {}  # precision -> (4 pi, n^2, d at x = 1/2, its -(d d))
+        d_at = {}  # (x, precision) -> (d, -(d d)), d = (x + n) - x
         values = {}  # (d, t, precision) -> integrand value
 
-        def invariant(prec):
+        def invariant(prec, rnd):
             inv = invariants.get(prec)
             if inv is None:
                 half = mpmath.mpf("0.5")
-                inv = invariants[prec] = (4 * mpmath.pi, nn * nn, (half + nn) - half)
+                d_half = ((half + nn) - half)._mpf_
+                inv = invariants[prec] = ((4 * mpmath.pi)._mpf_, (nn * nn)._mpf_, d_half,
+                                          mpf_neg(mpf_mul(d_half, d_half, prec, rnd)))
             return inv
 
-        def t_and_jacobian(s):
-            n2 = invariant(mpmath.mp.prec)[1]
-            four_s = 4 * s
-            return n2 / four_s, n2 / (four_s * s)
-
-        def t_integrand(d, t, four_pi):
-            return inv_sqrt_pi * _kernel_im_mp(d, t, four_pi) / mpmath.sqrt(t)
+        def t_and_jacobian(s, prec, rnd):
+            n2, s = invariant(prec, rnd)[1], s._mpf_
+            four_s = mpf_shift(s, 2)  # s is a node rounded at prec
+            return (mpf_div(n2, four_s, prec, rnd),
+                    mpf_div(n2, mpf_mul(four_s, s, prec, rnd), prec, rnd))
 
         def d_of(x):
-            key = (x._mpf_, mpmath.mp.prec)
-            d = d_at.get(key)
-            if d is None:
-                d = d_at[key] = (x + nn) - x
-            return d
+            prec, rnd = ctx._prec_rounding
+            key = (x._mpf_, prec)
+            dd = d_at.get(key)
+            if dd is None:
+                d = ((x + nn) - x)._mpf_
+                dd = d_at[key] = (d, mpf_neg(mpf_mul(d, d, prec, rnd)))
+            return dd
 
-        def t_integrand_memo(x, t):
-            prec = mpmath.mp.prec
-            d = d_of(x)
-            key = (d._mpf_, t._mpf_, prec)
+        def integrand_at(x, t):
+            prec, rnd = ctx._prec_rounding
+            d, neg_d2 = d_of(x)
+            key = (d, t, prec)
             value = values.get(key)
             if value is None:
-                value = values[key] = t_integrand(d, t, invariant(prec)[0])
+                value = values[key] = kernel(d, neg_d2, t, invariant(prec, rnd)[0],
+                                             inv_sqrt_pi, prec, rnd)
             return value
 
         # t in (0, t_split) maps to s above this breakpoint; splitting the
@@ -269,31 +326,34 @@ def eta_term(n: int, cfg: QuadratureConfig = DEFAULT_CONFIG, audit: bool = False
 
         if order == "t_then_x":
             if audit:
-                rule = _GroupedTanhSinh(mpmath.mp, lambda x: d_of(x)._mpf_)
+                rule = _GroupedTanhSinh(ctx, lambda x: d_of(x)[0])
 
                 def outer(s):
-                    t, jacobian = t_and_jacobian(s)
-                    inner, _ = mpmath.quad(lambda x: t_integrand_memo(x, t), [0, 1],
-                                           error=True, method=lambda ctx: rule)
-                    return inner * jacobian
+                    prec, rnd = ctx._prec_rounding
+                    t, jacobian = t_and_jacobian(s, prec, rnd)
+                    inner = rule.quad(lambda x: integrand_at(x, t))
+                    return ctx.make_mpf(mpf_mul(inner, jacobian, prec, rnd))
             else:
                 def outer(s):
-                    four_pi, _, d_half = invariant(mpmath.mp.prec)
-                    t, jacobian = t_and_jacobian(s)
-                    return t_integrand(d_half, t, four_pi) * jacobian
+                    prec, rnd = ctx._prec_rounding
+                    four_pi, _, d_half, neg_d2_half = invariant(prec, rnd)
+                    t, jacobian = t_and_jacobian(s, prec, rnd)
+                    value = kernel(d_half, neg_d2_half, t, four_pi, inv_sqrt_pi, prec, rnd)
+                    return ctx.make_mpf(mpf_mul(value, jacobian, prec, rnd))
             f, points, what = outer, interval, f"eta_term(n={n})"
         else:
             t_integrals = {}
 
             def t_integral(x):
                 # mpmath.quad evaluates its integrand 20 bits above the
-                # caller's precision; that is where t_integrand_memo computes d
+                # caller's precision; that is where integrand_at computes d
                 with mpmath.extraprec(20):
-                    key = d_of(x)._mpf_
+                    key = d_of(x)[0]
                 if key not in t_integrals:
                     def inner(s):
-                        t, jacobian = t_and_jacobian(s)
-                        return t_integrand_memo(x, t) * jacobian
+                        prec, rnd = ctx._prec_rounding
+                        t, jacobian = t_and_jacobian(s, prec, rnd)
+                        return ctx.make_mpf(mpf_mul(integrand_at(x, t), jacobian, prec, rnd))
                     t_integrals[key], _ = mpmath.quad(inner, interval, error=True)
                 return t_integrals[key]
             f, points, what = t_integral, [0, 1], f"eta_term(n={n}, x outer)"
@@ -352,6 +412,14 @@ class SubsetFamilyError(ValueError):
     pass
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is one (``operator.index``), never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SubsetFamilyError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SubsetFamily:
     """A subset of the positive naturals with a symbolic description.
@@ -369,22 +437,24 @@ class SubsetFamily:
 
     @classmethod
     def finite(cls, elements: Iterable[int]) -> "SubsetFamily":
-        elems = sorted(set(int(x) for x in elements))
+        elems = sorted(set(_integer(x, "finite subset element") for x in elements))
         if any(x < 1 for x in elems):
             raise SubsetFamilyError("finite subset elements must be >= 1")
         return cls("finite", tuple(elems))
 
     @classmethod
     def arithmetic(cls, a: int, d: int) -> "SubsetFamily":
+        a, d = _integer(a, "arithmetic start"), _integer(d, "arithmetic step")
         if a < 1 or d < 1:
             raise SubsetFamilyError("arithmetic progression needs a >= 1, d >= 1")
-        return cls("arithmetic", (int(a), int(d)))
+        return cls("arithmetic", (a, d))
 
     @classmethod
     def geometric(cls, base: int) -> "SubsetFamily":
+        base = _integer(base, "geometric index base")
         if base < 2:
             raise SubsetFamilyError("geometric index base must be >= 2")
-        return cls("geometric", (int(base),))
+        return cls("geometric", (base,))
 
     @classmethod
     def primes(cls) -> "SubsetFamily":
@@ -425,7 +495,7 @@ class SubsetFamily:
         else:
             prev = 0
             for x in self.generator():
-                x = int(x)
+                x = _integer(x, "custom generator element")
                 if x < 1 or x <= prev:
                     raise SubsetFamilyError(
                         f"custom generator must yield strictly increasing integers >= 1, got {x}")
@@ -497,9 +567,15 @@ class EtaReport:
         return self.partial_sums[-1][1] if self.partial_sums else 0j
 
     def to_json(self, sample_every: int = 1) -> dict:
-        sums = [(m, {"re": v.real, "im": v.imag})
-                for m, v in self.partial_sums
-                if m % sample_every == 0 or m == self.terms_used]
+        """The report as JSON data, with every ``sample_every``-th partial sum
+        and the last one."""
+        if sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+        # partial_sums[k] is the sum of the first k + 1 terms
+        picked = self.partial_sums[sample_every - 1::sample_every]
+        if len(self.partial_sums) % sample_every:
+            picked += self.partial_sums[-1:]
+        sums = [(m, {"re": v.real, "im": v.imag}) for m, v in picked]
         out = {
             "family": self.family.describe(),
             "verdict": self.verdict.to_json(),

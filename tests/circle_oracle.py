@@ -2,18 +2,31 @@
 sums built term by term from ``closed_form_term``.
 
 This is the code that ``eta_term`` and ``eta_partial`` replaced, kept as the
-oracle for their bytes.  The kernel is looked up on the ``circle`` module at
-call time, so a test that patches ``circle._kernel_mp`` patches both sides.
+oracle for their bytes: ``mpf``/``mpc`` objects and ``mpmath.quad`` all the
+way down, with the complex kernel.  ``eta_term_reference`` looks up
+``t_integrand`` on this module at call time, so a test can patch it together
+with ``circle._t_integrand_raw``.
 """
 
 from fractions import Fraction
 
 import mpmath
 
-from etarho import circle
 from etarho.circle import (DEFAULT_CONFIG, EXACT_TERMS_CAP, CircleExact,
                            EtaReport, _quad_with_tolerance,
                            classify_convergence, closed_form_term)
+
+
+def kernel_mp(x, y, t):
+    """The integral kernel of D exp(-t D^2) at (x, y) as an mpc."""
+    d = x - y
+    return (1j * d / (2 * t * mpmath.sqrt(4 * mpmath.pi * t))
+            * mpmath.exp(-(d * d) / (4 * t)))
+
+
+def t_integrand(x, nn, t, inv_sqrt_pi):
+    """The t-integrand of the deck term of translation by n at (x, t)."""
+    return inv_sqrt_pi * kernel_mp(x + nn, x, t) / mpmath.sqrt(t)
 
 
 def eta_term_reference(n, cfg=DEFAULT_CONFIG, audit=False, order="t_then_x"):
@@ -22,7 +35,7 @@ def eta_term_reference(n, cfg=DEFAULT_CONFIG, audit=False, order="t_then_x"):
         inv_sqrt_pi = 1 / mpmath.sqrt(mpmath.pi)
 
         def t_integrand_at(x, t):
-            return inv_sqrt_pi * circle._kernel_mp(x + nn, x, t) / mpmath.sqrt(t)
+            return t_integrand(x, nn, t, inv_sqrt_pi)
 
         def t_of_s(s):
             return nn * nn / (4 * s)

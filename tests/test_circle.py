@@ -1,11 +1,16 @@
 import hashlib
+import inspect
+import json
 import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import libmp
+from mpmath.calculus.quadrature import TanhSinh
 
+import circle_oracle
 from circle_oracle import eta_partial_reference, eta_term_reference
 from etarho import circle
 from etarho.circle import (EXACT_TERMS_CAP, CircleExact, QuadratureConfig,
@@ -84,14 +89,31 @@ class TestQuadratureConfig:
 
 
 def patch_kernels_sensitive_to_d(monkeypatch):
-    """Scale the real kernel of eta_term and the complex one of the reference
-    by the same factor 1 + 2^56 (d - 64)."""
+    """Scale the raw t-integrand of eta_term and the complex one of the
+    reference by the same factor 1 + 2^56 (d - 64), at the working precision;
+    mpc-by-mpf products are componentwise, so both sides round alike."""
     factor = lambda d: 1 + mpmath.ldexp(d - 64, 56)
-    kernel, kernel_im = circle._kernel_mp, circle._kernel_im_mp
-    monkeypatch.setattr(circle, "_kernel_mp", lambda x, y, t: kernel(x, y, t)
-                        * factor(x - y))
-    monkeypatch.setattr(circle, "_kernel_im_mp", lambda d, t, four_pi:
-                        kernel_im(d, t, four_pi) * factor(d))
+    raw, reference = circle._t_integrand_raw, circle_oracle.t_integrand
+
+    def raw_scaled(d, neg_d2, t, four_pi, inv_sqrt_pi, prec, rnd):
+        value = raw(d, neg_d2, t, four_pi, inv_sqrt_pi, prec, rnd)
+        return libmp.mpf_mul(value, factor(mpmath.mp.make_mpf(d))._mpf_, prec, rnd)
+
+    monkeypatch.setattr(circle, "_t_integrand_raw", raw_scaled)
+    monkeypatch.setattr(circle_oracle, "t_integrand", lambda x, nn, t, inv_sqrt_pi:
+                        reference(x, nn, t, inv_sqrt_pi) * factor((x + nn) - x))
+
+
+def spy_on_kernel(monkeypatch, record):
+    """Patch the raw kernel so that each call passes its arguments to
+    ``record`` first."""
+    kernel = circle._t_integrand_raw
+
+    def spy(*args):
+        record(*args)
+        return kernel(*args)
+
+    monkeypatch.setattr(circle, "_t_integrand_raw", spy)
 
 
 class TestEtaTermMemos:
@@ -109,13 +131,8 @@ class TestEtaTermMemos:
     def test_kernel_once_per_distinct_argument(self, n, kwargs, value, distinct,
                                                monkeypatch):
         calls = []
-        kernel = circle._kernel_im_mp
-
-        def spy(d, t, four_pi):
-            calls.append((d, t, mpmath.mp.prec))
-            return kernel(d, t, four_pi)
-
-        monkeypatch.setattr(circle, "_kernel_im_mp", spy)
+        spy_on_kernel(monkeypatch, lambda d, neg_d2, t, four_pi, inv_sqrt_pi, prec, rnd:
+                      calls.append((d, t, prec)))
         assert repr(eta_term(n, **kwargs)) == value
         assert len(calls) == len(set(calls)) == distinct  # 10,614 calls unmemoized
 
@@ -164,16 +181,19 @@ FAST_N = (1, 2, 3, 4, 5, 7, 8, 13, 16, 21, 32, 34, 45, 64, 100, 1000)
 
 class TestEtaTermOracleSweep:
     """eta_term against the complex-kernel reference, by repr, at low working
-    precision.  At 80 bits a rounding at the wrong internal precision (4 pi
-    at the caller's precision, d outside the inner quadrature) vanishes in
-    the returned double; at 24 to 53 bits it shows in some of these terms."""
+    precision and at the default 80 bits on the benchmark's inputs.  At 80
+    bits a rounding at the wrong internal precision (4 pi at the caller's
+    precision, d outside the inner quadrature) vanishes in the returned
+    double; at 24 to 53 bits it shows in some of these terms."""
 
     SWEEP = [pytest.param(bits, kwargs, ns, id=f"{bits}-{mode}")
              for mode, kwargs, cases in [
-                 ("fast", {}, [(24, FAST_N), (30, FAST_N), (53, FAST_N)]),
+                 ("fast", {}, [(24, FAST_N), (30, FAST_N), (53, FAST_N),
+                               (80, (1, 2, 3, 5, 8, 13, 21, 34))]),
                  ("audit", AUDIT, [(24, (3, 13, 21, 45, 64)), (30, (3, 13, 21, 45, 64)),
-                                   (53, (13, 45))]),
-                 ("fubini", FUBINI, [(24, (13, 45)), (30, (13, 45)), (53, (13,))])]
+                                   (53, (13, 45)), (80, (41, 56))]),
+                 ("fubini", FUBINI, [(24, (13, 45)), (30, (13, 45)), (53, (13,)),
+                                     (80, (32,))])]
              for bits, ns in cases]
 
     @pytest.mark.parametrize("bits, kwargs, ns", SWEEP)
@@ -202,16 +222,31 @@ class TestEtaTermOracleSweep:
 
     @pytest.mark.parametrize("kwargs", [{}, AUDIT, FUBINI], ids=["fast", "audit", "fubini"])
     def test_kernel_gets_four_pi_at_its_working_precision(self, kwargs, monkeypatch):
-        kernel, wrong = circle._kernel_im_mp, []
+        wrong = []
 
-        def spy(d, t, four_pi):
-            if four_pi != 4 * mpmath.pi:
-                wrong.append(mpmath.mp.prec)
-            return kernel(d, t, four_pi)
+        def check(d, neg_d2, t, four_pi, inv_sqrt_pi, prec, rnd):
+            if prec != mpmath.mp.prec or four_pi != (4 * mpmath.pi)._mpf_:
+                wrong.append(prec)
 
-        monkeypatch.setattr(circle, "_kernel_im_mp", spy)
+        spy_on_kernel(monkeypatch, check)
         eta_term(13, QuadratureConfig(precision_bits=24, **LOOSE), **kwargs)
         assert wrong == []
+
+    def test_kernel_gets_minus_d_squared_at_its_working_precision(self, monkeypatch):
+        # at n = 64 the audit's inner quadratures compute d one ulp below 64
+        # at some nodes, where -(d d) rounded at another precision has other
+        # bits (at d = 64 it is exact at every precision)
+        ds, wrong = set(), []
+
+        def check(d, neg_d2, t, four_pi, inv_sqrt_pi, prec, rnd):
+            ds.add(d)
+            if neg_d2 != libmp.mpf_neg(libmp.mpf_mul(d, d, prec, rnd)):
+                wrong.append(prec)
+
+        spy_on_kernel(monkeypatch, check)
+        eta_term(64, QuadratureConfig(precision_bits=24, **LOOSE), **AUDIT)
+        assert wrong == []
+        assert len(ds) == 2
 
     def test_fubini_memo_exact_under_a_kernel_sensitive_to_d(self, monkeypatch):
         # the inner s-quadratures compute d = 64 at every outer x node; at
@@ -232,6 +267,10 @@ def step_value(key):
     return mpmath.mpf(2 * key - 5) / 3
 
 
+def as_mpf(raw_f):
+    return lambda x: mpmath.mp.make_mpf(raw_f(x))
+
+
 def step_sums(rule, f, bits, degrees=6):
     """The step sums of ``rule`` on [0, 1] at degrees 1..degrees, as ``quad``
     forms them at ``bits``: 20 bits up, each reusing the ones before."""
@@ -246,8 +285,9 @@ def step_sums(rule, f, bits, degrees=6):
 
 class TestGroupedRule:
     """The audit's inner rule sums the weights of each class of equal keys
-    exactly and evaluates the integrand once per class, with the bits of
-    mpmath's own tanh-sinh rule."""
+    exactly and evaluates its raw integrand once per class, with the bits of
+    mpmath's own tanh-sinh rule; its direct ``quad`` returns what
+    ``mpmath.quad`` returns."""
 
     @pytest.mark.parametrize("bits", [24, 53, 80])
     def test_step_integrand_matches_default_quad(self, bits):
@@ -255,14 +295,16 @@ class TestGroupedRule:
 
         def f(x):
             calls.append(x)
-            return step_value(step_key(x))
+            return step_value(step_key(x))._mpf_
 
         with mpmath.workprec(bits):
-            expected = mpmath.quad(f, [0, 1], error=True)
+            expected = mpmath.quad(as_mpf(f), [0, 1], error=True)
             rule = circle._GroupedTanhSinh(mpmath.mp, step_key)
             got = mpmath.quad(f, [0, 1], error=True, method=lambda ctx: rule)
+            direct = rule.quad(f)
         assert repr(got) == repr(expected)
-        expected = step_sums(mpmath.mp._tanh_sinh, f, bits)  # 351 nodes at 24 bits
+        assert direct == expected[0]._mpf_  # rounded back to the caller's bits
+        expected = step_sums(mpmath.mp._tanh_sinh, as_mpf(f), bits)  # 351 nodes at 24 bits
         del calls[:]
         assert step_sums(rule, f, bits) == expected
         assert len(calls) <= 6 * 8  # once per class: at most 8 at each degree
@@ -276,20 +318,22 @@ class TestGroupedRule:
             seen.add(x._mpf_)
             key, prec = step_key(x), mpmath.mp.prec
             if key in (3, 7):
-                return mpmath.ldexp(1, -3 * prec)
-            return mpmath.ldexp(1 if key < 3 else -1, -prec * min(key, 6 - key))
+                return mpmath.ldexp(1, -3 * prec)._mpf_
+            return mpmath.ldexp(1 if key < 3 else -1, -prec * min(key, 6 - key))._mpf_
 
         seen = set()
         rule = circle._GroupedTanhSinh(mpmath.mp, step_key)
-        assert step_sums(rule, f, bits) == step_sums(mpmath.mp._tanh_sinh, f, bits)
+        assert step_sums(rule, f, bits) == step_sums(mpmath.mp._tanh_sinh, as_mpf(f), bits)
         with mpmath.workprec(bits):
             seen = set()
-            expected = mpmath.quad(f, [0, 1], error=True)
+            expected = mpmath.quad(as_mpf(f), [0, 1], error=True)
             every_node = seen
             seen = set()
             got = mpmath.quad(f, [0, 1], error=True, method=lambda ctx: rule)
+            assert seen == every_node
+            direct = rule.quad(f)
         assert repr(got) == repr(expected)
-        assert seen == every_node
+        assert direct == expected[0]._mpf_
 
     def test_audit_terms_under_a_kernel_sensitive_to_d_in_both_orders(self,
                                                                        monkeypatch):
@@ -303,20 +347,20 @@ class TestGroupedRule:
                                                                     for n in ns]
 
     def test_integrand_once_per_class(self, monkeypatch):
-        quad, calls, degrees = mpmath.quad, [], []
+        # the inner x-quadratures call the rule directly, never mpmath.quad
+        quad, calls, degrees = circle._GroupedTanhSinh.quad, [], []
         guess = mpmath.calculus.quadrature.QuadratureRule.guess_degree
 
-        def counting_quad(f, *points, **kwargs):
-            if points == ([0, 1],):
-                g = f
-                f = lambda x: calls.append(1) or g(x)
-            return quad(f, *points, **kwargs)
+        def counting_quad(rule, f):
+            calls.append(0)
+            return quad(rule, lambda x: calls.append(1) or f(x))
 
-        monkeypatch.setattr(mpmath, "quad", counting_quad)
+        monkeypatch.setattr(circle._GroupedTanhSinh, "quad", counting_quad)
         monkeypatch.setattr(mpmath.calculus.quadrature.QuadratureRule, "guess_degree",
                             lambda rule, prec: degrees.append(prec) or guess(rule, prec))
         assert repr(eta_term(45, audit=True)) == "0.007073553026306459j"
-        assert len(calls) <= 650  # 10,614 with one call per node
+        assert calls.count(0) == 266  # inner x-quadratures
+        assert calls.count(1) == 606  # integrand calls; 10,614 with one per node
         assert len(degrees) == 1  # once per precision, not once per inner quad
 
 
@@ -362,6 +406,27 @@ class TestSubsetFamilies:
         fam = SubsetFamily.custom(lambda: iter([1, 1]))
         with pytest.raises(SubsetFamilyError):
             list(fam.iter_elements())
+
+    # non-integers are rejected, never truncated (2.5 used to read as 2)
+    def test_finite_rejects_non_integers(self):
+        with pytest.raises(SubsetFamilyError, match="must be an integer, got 2.5"):
+            SubsetFamily.finite([2.5, 3.9])
+        assert SubsetFamily.finite([True, 3]).params == (1, 3)
+
+    def test_arithmetic_rejects_non_integers(self):
+        for a, d in [(2.5, 1), (2, 1.0), (Fraction(5, 2), 1)]:
+            with pytest.raises(SubsetFamilyError, match="must be an integer"):
+                SubsetFamily.arithmetic(a, d)
+
+    def test_geometric_rejects_non_integers(self):
+        for base in (2.5, 3.0, "3"):
+            with pytest.raises(SubsetFamilyError, match="must be an integer"):
+                SubsetFamily.geometric(base)
+
+    def test_custom_rejects_non_integers(self):
+        fam = SubsetFamily.custom(lambda: iter([1.9, 2.5, 3.2]))
+        with pytest.raises(SubsetFamilyError, match="must be an integer, got 1.9"):
+            eta_partial(fam, 3)
 
 
 class TestClassification:
@@ -464,6 +529,78 @@ class TestFastPath:
     def test_cli_stdout_digest(self, argv, digest, capsys):
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+class TestReportJson:
+    """to_json picks every s-th partial sum and the last one by slicing, with
+    the bytes of the modulo comprehension it replaced."""
+
+    @staticmethod
+    def modulo_sampling(report, every):
+        return [(m, {"re": v.real, "im": v.imag}) for m, v in report.partial_sums
+                if m % every == 0 or m == report.terms_used]
+
+    @pytest.mark.parametrize("terms, every", [(0, 1), (0, 3), (1, 1), (1, 2), (100, 1),
+                                              (100, 10), (100, 4), (103, 10), (103, 7),
+                                              (103, 103), (103, 200)],
+                             ids=lambda v: str(v))
+    @pytest.mark.parametrize("ahat", [None, Fraction(-3, 7)], ids=["plain", "ahat"])
+    def test_matches_modulo_sampling(self, terms, every, ahat):
+        report = eta_partial(SubsetFamily.finite(range(1, terms + 1)), max(terms, 1))
+        if ahat is not None:
+            report = product_with_ahat(report, ahat)
+        assert report.terms_used == terms
+        expected = report.to_json()
+        expected["partial_sums"] = self.modulo_sampling(report, every)
+        got = report.to_json(sample_every=every)
+        assert json.dumps(got) == json.dumps(expected)
+
+    def test_rejects_sampling_below_one(self):
+        report = eta_partial(SubsetFamily.finite([1, 2]), 2)
+        for every in (0, -1):
+            with pytest.raises(ValueError, match="sample_every must be >= 1"):
+                report.to_json(sample_every=every)
+
+
+class TestMpmathContract:
+    """The private mpmath names that the raw kernels of ``circle`` use, as
+    mpmath 1.3 has them.  If an upgrade changes one, this test names it;
+    the eta terms would otherwise change bits without notice."""
+
+    SIGNATURES = {
+        "summation": "(self, f, points, prec, epsilon, max_degree, verbose=False)",
+        "sum_next": "(self, f, nodes, degree, prec, previous, verbose=False)",
+        "get_nodes": "(self, a, b, degree, prec, verbose=False)",
+        "estimate_error": "(self, results, prec, epsilon)",
+        "guess_degree": "(self, prec)",
+    }
+
+    def test_private_names(self):
+        problems = []
+        for name, expected in self.SIGNATURES.items():
+            method = getattr(TanhSinh, name, None)
+            got = "missing" if method is None else str(inspect.signature(method))
+            if got != expected:
+                problems.append(f"TanhSinh.{name}: {got}, expected {expected}")
+        if not isinstance(getattr(mpmath.mp, "_tanh_sinh", None), TanhSinh):
+            problems.append("mp._tanh_sinh is not a TanhSinh rule")
+        with mpmath.workprec(77):
+            prec_rounding = getattr(mpmath.mp, "_prec_rounding", None)
+            if prec_rounding is None or list(prec_rounding) != [77, "n"]:
+                problems.append(f"mp._prec_rounding at 77 bits is {prec_rounding!r}, "
+                                "expected [77, 'n']")
+        mpf_sum = getattr(libmp, "mpf_sum", None)
+        expected = "(xs, prec=0, rnd='d', absolute=False)"
+        if mpf_sum is None or str(inspect.signature(mpf_sum)) != expected:
+            problems.append(f"libmp.mpf_sum is {mpf_sum!r}, expected the signature {expected}")
+        else:
+            third = libmp.from_rational(1, 3, 80, "n")
+            exact = mpf_sum([libmp.fone, third, libmp.mpf_neg(libmp.fone)])
+            rounded = mpf_sum([libmp.fone, third], 40, "n")
+            if exact != third or rounded != libmp.from_rational(4, 3, 40, "n"):
+                problems.append("libmp.mpf_sum does not add exactly and round once")
+        assert not problems, ("mpmath's private API changed under circle.py: "
+                              + "; ".join(problems))
 
 
 class TestAhatMultiplier:
