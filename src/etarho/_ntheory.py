@@ -2,8 +2,7 @@
 
 etarho needs a few integer calls (factor, Euler phi, Phi_n, a primality
 test, the primes in order); importing sympy for them would dominate the
-start-up time of every CLI call.  Only ``is_prime`` on numbers beyond the
-proven range of its Miller-Rabin bases still imports sympy, lazily.
+start-up time of every CLI call.
 """
 
 from __future__ import annotations
@@ -12,11 +11,12 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterator
 
-# Miller-Rabin with the first twelve primes as bases is correct for every
+# Miller-Rabin with the first thirteen primes as bases is correct for every
 # n < MR_PROVEN_BOUND (Sorenson and Webster, Math. Comp. 86, 2017); the bound
-# itself, 399165290221 * 798330580441, is a strong pseudoprime to all twelve.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-MR_PROVEN_BOUND = 318665857834031151167461
+# itself, 1287836182261 * 2575672364521, is a strong pseudoprime to all
+# thirteen.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_PROVEN_BOUND = 3317044064679887385961981
 
 _SEGMENT_CAP = 1 << 17  # odd numbers sieved per segment of ``primes``
 
@@ -79,16 +79,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below MR_PROVEN_BOUND; sympy's test
-    (imported only here) at or above it."""
+    """Deterministic Miller-Rabin with the first thirteen prime bases.
+
+    A witness proves n composite at any size.  With no witness, n is prime
+    below MR_PROVEN_BOUND; at or above it this raises ValueError."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= MR_PROVEN_BOUND:
-        from sympy import isprime
-        return bool(isprime(n))
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
@@ -103,6 +102,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= MR_PROVEN_BOUND:
+        raise ValueError(f"{n} passes Miller-Rabin to the bases 2..41, which proves "
+                         f"primality only below {MR_PROVEN_BOUND}")
     return True
 
 

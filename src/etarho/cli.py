@@ -463,6 +463,14 @@ def render(report: RunReport, fmt: str, meta: bool) -> str:
     return "\n".join(lines)
 
 
+# the keys a config file may set, each with its values: the options that
+# every subcommand shares (--config itself aside)
+CONFIG_KEYS = {
+    "format": {"json": "json", "tsv": "tsv", "pretty": "pretty"},
+    "meta": {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False},
+}
+
+
 def _load_config(path: str) -> dict:
     out = {}
     for raw in Path(path).read_text().splitlines():
@@ -484,20 +492,15 @@ def run(argv) -> tuple[RunReport, str, int]:
     pre.add_argument("--config")
     config_path = pre.parse_known_args(list(argv))[0].config
     if config_path is not None:
-        config = _load_config(config_path)
-        known = {a.dest for a in parser._actions}
-        unknown = set(config) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
         typed = {}
-        for key, value in config.items():
-            action = next(a for a in parser._actions if a.dest == key)
-            if isinstance(action, argparse._StoreTrueAction):
-                typed[key] = value.lower() in ("1", "true", "yes")
-            elif action.type is not None:
-                typed[key] = action.type(value)
-            else:
-                typed[key] = value
+        for key, value in _load_config(config_path).items():
+            if key not in CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r} "
+                                 f"(a config file sets only {' and '.join(CONFIG_KEYS)})")
+            if value.lower() not in CONFIG_KEYS[key]:
+                raise UsageError(f"config {key}={value!r}: expected one of "
+                                 f"{', '.join(CONFIG_KEYS[key])}")
+            typed[key] = CONFIG_KEYS[key][value.lower()]
         parser.set_defaults(**typed)
     args = parser.parse_args(list(argv))
     if not args.command:

@@ -44,6 +44,13 @@ def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
     return tuple(work)
 
 
+def _strip(coeffs: list) -> list:
+    """Drop trailing zero coefficients (constant term first), in place."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 @lru_cache(maxsize=256)
 def _zeta_powers(n: int) -> tuple[tuple[int, ...], ...]:
     """zeta_n^e reduced mod Phi_n, for e = 0..n-1, as integer coefficient
@@ -220,26 +227,36 @@ class CyclotomicValue:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicValue":
-        """Multiplicative inverse, by sympy's extended Euclidean algorithm
-        (``dup_invert``) against Phi_n over QQ.
+        """Multiplicative inverse, by the extended Euclidean algorithm
+        against Phi_n over Q (von zur Gathen and Gerhard, *Modern Computer
+        Algebra*, ch. 3).
 
-        Raises ZeroDivisionError on zero; every nonzero value is invertible
-        because Phi_n is irreducible.  sympy is imported here, on first use,
-        so that importing etarho does not pay for it.
+        Only the cofactor s_i of the value f is kept: r_i = s_i f (mod Phi_n)
+        for every remainder r_i.  Phi_n is irreducible, so a nonzero f is
+        prime to it and the last remainder is a nonzero constant c; then
+        f^-1 = s_i / c.  Raises ZeroDivisionError on zero.
         """
-        from sympy.polys.densebasic import dup_strip
-        from sympy.polys.domains import QQ
-        from sympy.polys.euclidtools import dup_invert
-
-        if self.is_zero():
+        f = _strip(list(self.coefficients))
+        if not f:
             raise ZeroDivisionError("inverse of zero cyclotomic value")
-        # dup_* routines take coefficients highest degree first, leading zeros
-        # stripped (an unstripped input makes them fail to reduce the degree)
-        f = dup_strip([QQ(c.numerator, c.denominator) for c in reversed(self.coefficients)])
-        phi = [QQ(c) for c in reversed(cyclotomic_polynomial(self.order))]
-        inv = dup_invert(f, phi, QQ)
-        return CyclotomicValue(self.order, [Fraction(int(c.numerator), int(c.denominator))
-                                            for c in reversed(inv)])
+        r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(self.order)], f
+        s0, s1 = [], [Fraction(1)]
+        while len(r1) > 1:
+            # r0 = q r1 + rem, by long division from the top
+            rem, deg, lead = list(r0), len(r1) - 1, r1[-1]
+            q = [Fraction(0)] * (len(r0) - deg)
+            for i in range(len(q) - 1, -1, -1):
+                c = q[i] = rem[i + deg] / lead
+                if c:
+                    rem[i:i + deg] = [x - c * y for x, y in zip(rem[i:i + deg], r1)]
+            s2 = s0 + [Fraction(0)] * (len(q) + len(s1) - 1 - len(s0))
+            for i, c in enumerate(q):
+                if c:
+                    s2[i:i + len(s1)] = [x - c * y for x, y in zip(s2[i:i + len(s1)], s1)]
+            r0, r1 = r1, _strip(rem[:deg])
+            s0, s1 = s1, _strip(s2)
+        c = r1[0]
+        return CyclotomicValue(self.order, [x / c for x in s1])
 
     def __truediv__(self, other):
         pair = self._coerce(other)

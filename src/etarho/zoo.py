@@ -31,6 +31,7 @@ in the ambient group and restricted to base-group values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -753,6 +754,19 @@ class GrowthReport:
                 "ratios": [round(r, 6) for r in self.ratios]}
 
 
+def _slope(xs: list, ys: list) -> float:
+    """Least-squares slope of ys on xs, computed exactly from the floats and
+    rounded once, so it does not depend on a BLAS build or its summation
+    order."""
+    xs = [Fraction(x) for x in xs]
+    ys = [Fraction(y) for y in ys]
+    n = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    sxx = sum(x * x for x in xs)
+    return float((n * sxy - sx * sy) / (n * sxx - sx * sx))
+
+
 def growth_classify(group, h, max_radius: int) -> GrowthReport:
     """Desk-scale growth estimate for the conjugacy class of h.
 
@@ -765,25 +779,22 @@ def growth_classify(group, h, max_radius: int) -> GrowthReport:
     window = list(range(lo, max_radius + 1))
     ratios = tuple(counts[r] / counts[r - 1] for r in range(lo, max_radius + 1)
                    if counts[r - 1] > 0)
-    import numpy as np  # only here: no other call in etarho needs numpy
-
-    log_counts = [np.log(counts[r]) for r in window]
+    log_counts = [math.log(counts[r]) for r in window]
     # exponential: near-convex log-counts with per-step ratio >= 1.5
     # (boundary effects make desk-scale log-counts dip slightly below convex)
-    diffs = np.diff(log_counts)
-    convex = bool(len(diffs) < 2 or np.all(np.diff(diffs) >= -0.05))
+    diffs = [b - a for a, b in zip(log_counts, log_counts[1:])]
+    convex = len(diffs) < 2 or all(b - a >= -0.05 for a, b in zip(diffs, diffs[1:]))
     if ratios and convex and all(r >= 1.5 for r in ratios):
         return GrowthReport("exponential", None, tuple(counts),
                             (lo, max_radius), ratios)
     # polynomial: log-log slope stable (within 0.25) across the two half-windows
-    log_r = [np.log(r) for r in window]
+    log_r = [math.log(r) for r in window]
     if len(window) >= 4:
         half = len(window) // 2
-        s1 = np.polyfit(log_r[:half + 1], log_counts[:half + 1], 1)[0]
-        s2 = np.polyfit(log_r[half:], log_counts[half:], 1)[0]
-        s_all = np.polyfit(log_r, log_counts, 1)[0]
+        s1 = _slope(log_r[:half + 1], log_counts[:half + 1])
+        s2 = _slope(log_r[half:], log_counts[half:])
         if abs(s1 - s2) <= 0.25:
-            return GrowthReport("polynomial", float(s_all), tuple(counts),
+            return GrowthReport("polynomial", _slope(log_r, log_counts), tuple(counts),
                                 (lo, max_radius), ratios)
     elif len(set(counts)) == 1:
         return GrowthReport("polynomial", 0.0, tuple(counts), (lo, max_radius), ratios)

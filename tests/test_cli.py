@@ -471,6 +471,30 @@ class TestCliBehavior:
         with pytest.raises(UsageError):
             run(["--config", str(cfg), "ringcheck", "--orders", "2", "--value", "1"])
 
+    @pytest.mark.parametrize("line, message", [
+        ("command=lens", "unknown config key 'command' (a config file sets only format and meta)"),
+        ("format=xml", "config format='xml': expected one of json, tsv, pretty"),
+        ("meta=maybe", "config meta='maybe': expected one of 1, true, yes, 0, false, no"),
+    ], ids=["subcommand-key", "format-value", "meta-value"])
+    def test_config_bad_key_or_value_exits_1(self, tmp_path, capsys, line, message):
+        # a config sets format and meta only; the first line once crashed
+        # with an AttributeError, the other two quietly gave pretty / no meta
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        assert main(["--config", str(cfg)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[0] == f"usage error: {message}"
+        assert "Traceback" not in err
+
+    def test_config_meta_values(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        for value, meta in [("YES", True), ("1", True), ("no", False), ("0", False)]:
+            cfg.write_text(f"meta={value}\n")
+            _, out, _ = run(["--config", str(cfg), "ringcheck", "--orders", "2",
+                             "--value", "1"])
+            assert ("meta" in json.loads(out)) is meta
+
     def test_verify_single_suite(self):
         payload, code = run_json(["verify", "--suite", "2"])
         assert code == 0

@@ -100,6 +100,53 @@ class TestInversion:
         assert (rat(1) / z) == z ** -1 == z ** 4
 
 
+def sympy_inverse(value):
+    """The inverse by sympy's ``dup_invert`` against Phi_n over QQ, the way
+    the library computed it before it ran its own extended Euclid."""
+    from sympy.polys.densebasic import dup_strip
+    from sympy.polys.domains import QQ
+    from sympy.polys.euclidtools import dup_invert
+
+    # dup_* routines take coefficients highest degree first, leading zeros stripped
+    f = dup_strip([QQ(c.numerator, c.denominator) for c in reversed(value.coefficients)])
+    phi = [QQ(c) for c in reversed(cyclotomic_polynomial(value.order))]
+    inv = dup_invert(f, phi, QQ)
+    return tuple(Fraction(int(c.numerator), int(c.denominator)) for c in reversed(inv))
+
+
+def _dense_value(n):
+    """A fixed value with every coefficient nonzero and four denominators."""
+    return CyclotomicValue(n, [Fraction((7 * i * i + 3 * i + 5) % 19 - 9 or 1, 1 + i % 4)
+                               for i in range(euler_phi(n))])
+
+
+def assert_inverse_matches_sympy(value):
+    inv = value.inverse()
+    expected = sympy_inverse(value)
+    assert inv.coefficients == expected + (Fraction(0),) * (euler_phi(value.order) - len(expected))
+    assert value * inv == CyclotomicValue.one(value.order)
+
+
+class TestInverseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=60),
+           st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+                    min_size=1, max_size=60))
+    def test_matches_sympy_up_to_order_60(self, n, coeffs):
+        value = CyclotomicValue(n, (coeffs * euler_phi(n))[:euler_phi(n)])
+        if not value.is_zero():
+            assert_inverse_matches_sympy(value)
+
+    def test_matches_sympy_on_a_dense_value_at_105(self):
+        value = _dense_value(105)
+        assert all(value.coefficients)
+        assert_inverse_matches_sympy(value)
+
+    def test_matches_sympy_on_z_plus_2_at_127(self):
+        # one division step: the remainder is the constant Phi_127(-2)
+        assert_inverse_matches_sympy(zeta(127) + 2)
+
+
 class TestEmbedding:
     def test_i(self):
         v = zeta(4).embed(64)

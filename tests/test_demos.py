@@ -1,4 +1,4 @@
-"""The demos that exercise field inverses, ranks and lens tables run cleanly."""
+"""Every demo runs cleanly."""
 
 import os
 import subprocess
@@ -12,7 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("name", ["01_exact_cyclotomic_arithmetic.py",
                                   "02_class_functions_and_ranks.py",
-                                  "03_lens_space_tables.py"])
+                                  "03_lens_space_tables.py",
+                                  "04_circle_eta_divergence.py",
+                                  "05_group_zoo_growth.py"])
 def test_demo_runs(name):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / name)],

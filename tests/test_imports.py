@@ -1,8 +1,7 @@
 """Which heavy libraries each entry point loads, in a fresh interpreter.
 
-sympy backs only the field inverse (and primality beyond the proven
-Miller-Rabin range); numpy backs only the growth fit.  Everything else must
-start without them.
+etarho runs on mpmath alone: numpy and sympy are test oracles only.  No
+entry point may load either.
 """
 
 import json
@@ -23,12 +22,34 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(m for m in ("sympy", "numpy") if m in sys.modules)))
 """
 
+# runs ``code`` with an import hook in place that refuses numpy and sympy
+REFUSE = """
+import contextlib, io, sys
 
-def loaded_after(code: str) -> list[str]:
-    body = "\n".join("    " + line for line in code.splitlines())
-    proc = subprocess.run([sys.executable, "-c", PROBE.format(code=body)],
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("numpy", "sympy"):
+            raise ModuleNotFoundError(f"import of {{name}} refused")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+with contextlib.redirect_stdout(io.StringIO()):
+{code}
+"""
+
+
+def _indented(code: str) -> str:
+    return "\n".join("    " + line for line in code.splitlines())
+
+
+def _run(script: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=120)
+
+
+def loaded_after(code: str) -> list[str]:
+    proc = _run(PROBE.format(code=_indented(code)))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -55,13 +76,26 @@ def test_cli_run_loads_neither_sympy_nor_numpy(argv):
     assert loaded_after(cli_code(argv)) == []
 
 
-def test_growth_loads_numpy_only():
-    argv = ["growth", "--group", "lamplighter:2", "--element", "lamp:0", "--max-radius", "8"]
-    assert loaded_after(cli_code(argv)) == ["numpy"]
+# one call of every subcommand, the full acceptance suite included
+EVERY_SUBCOMMAND = [
+    ["chars", "--group", "cyclic:5", "--basis", "plus"],
+    ["induce", "--sub", "cyclic:2", "--target", "cyclic:4", "--map", "0,2", "--rho", "5,7"],
+    ["lens", "--n", "7", "--weights", "1,2,3"],
+    ["circle", "--subset", "finite:1,2", "--audit"],
+    ["growth", "--group", "lamplighter:2", "--element", "lamp:0", "--max-radius", "8"],
+    ["zoo", "--group", "hnn", "--normalize", "t q:1/2 e:3 t^-1"],
+    ["ringcheck", "--orders", "6,inf,999999999989", "--value", "1/3"],
+    ["verify"],
+]
 
 
-def test_field_inverse_loads_sympy_only():
-    code = ("from etarho.cyclotomic import CyclotomicValue\n"
-            "z = CyclotomicValue.root_of_unity(7)\n"
-            "assert (z + 2).inverse() * (z + 2) == 1")
-    assert loaded_after(code) == ["sympy"]
+def test_everything_runs_with_numpy_and_sympy_refused():
+    code = "\n".join(cli_code(argv) for argv in EVERY_SUBCOMMAND) + "\n" + "\n".join([
+        "from etarho.cyclotomic import CyclotomicValue",
+        "x = CyclotomicValue.root_of_unity(7) + 2",
+        "assert x * x.inverse() == 1",
+        "assert (1 / x) * x == 1",
+        "assert x ** -2 * x * x == 1",
+    ])
+    proc = _run(REFUSE.format(code=_indented(code)))
+    assert proc.returncode == 0, proc.stderr

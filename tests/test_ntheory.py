@@ -10,7 +10,8 @@ from etarho._ntheory import MR_PROVEN_BOUND, euler_phi, factor, is_prime, primes
 from etarho.exactlinalg import _prime_and_root
 from etarho.zoo import T_POWER_CAP, _prime_at
 
-# strong pseudoprimes to the first 4, the first 9 and all 12 prime bases
+# strong pseudoprimes to the first 4, the first 9 and the first 12 prime bases
+# (the last was the proven bound of twelve bases; base 41 is its witness)
 STRONG_PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461]
 
 
@@ -51,13 +52,29 @@ class TestIsPrime:
     def test_strong_pseudoprimes(self, n):
         assert not is_prime(n)
 
-    def test_proven_bound_is_the_twelve_base_pseudoprime(self):
-        assert MR_PROVEN_BOUND == STRONG_PSEUDOPRIMES[-1] == 399165290221 * 798330580441
-        assert all(is_prime(p) for p in (399165290221, 798330580441))
+    def test_old_twelve_base_bound_is_composite(self):
+        n = STRONG_PSEUDOPRIMES[-1]
+        assert n == 399165290221 * 798330580441 < MR_PROVEN_BOUND
+        assert not is_prime(n)
 
-    def test_at_and_above_the_bound_sympy_decides(self):
-        near = range(MR_PROVEN_BOUND - 200, MR_PROVEN_BOUND + 200)
+    def test_proven_bound_is_the_thirteen_base_pseudoprime(self):
+        assert MR_PROVEN_BOUND == 1287836182261 * 2575672364521
+        assert all(is_prime(p) for p in (1287836182261, 2575672364521))
+        with pytest.raises(ValueError, match="bases 2..41"):
+            is_prime(MR_PROVEN_BOUND)
+
+    def test_below_the_bound_agrees_with_sympy(self):
+        near = range(MR_PROVEN_BOUND - 400, MR_PROVEN_BOUND)
         assert [is_prime(n) for n in near] == [sympy.isprime(n) for n in near]
+
+    def test_above_the_bound_a_witness_decides_or_it_raises(self):
+        # a witness proves n composite at any size; a prime up here raises
+        for n in range(MR_PROVEN_BOUND + 1, MR_PROVEN_BOUND + 400):
+            if sympy.isprime(n):
+                with pytest.raises(ValueError):
+                    is_prime(n)
+            else:
+                assert not is_prime(n)
 
     def test_candidates_scanned_by_prime_and_root(self):
         # every q = 1 (mod N) from 2^31 up to the prime picked for N <= 96

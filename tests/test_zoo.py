@@ -462,6 +462,51 @@ class TestGrowth:
         assert a == b
 
 
+def _growth_sweep():
+    """(group, element, largest radius within the node budget), with ids."""
+    L2, Q, H = Lamplighter(2), QSemidirect(), HnnShift()
+    cases = [(f"cyclic:{n}-g^{h}", Cyclic(n), h, DESK_RADIUS_CAP)
+             for n in (1, 2, 5, 12) for h in range(n)]
+    for n in (2, 3, 4):
+        L = Lamplighter(n)
+        cases += [(f"{L.name}-lamp", L, L.lamp(0, 1), DESK_RADIUS_CAP),
+                  (f"{L.name}-shift", L, L.shift(1), DESK_RADIUS_CAP),
+                  (f"{L.name}-two-lamps", L, L.mul(L.lamp(0, 1), L.lamp(1, 1)), DESK_RADIUS_CAP)]
+    cases += [("lamplighter:2-shift^2", L2, L2.shift(2), DESK_RADIUS_CAP),
+              ("qsemi-q1", Q, Q.rational(1), DESK_RADIUS_CAP),
+              ("qsemi-q1/2", Q, Q.rational(Fraction(1, 2)), DESK_RADIUS_CAP),
+              ("qsemi-e0", Q, Q.summand_generator(0), 7),
+              ("hnn-q1", H, H.from_base(Q.rational(1)), 7),
+              ("hnn-e0", H, H.from_base(Q.summand_generator(0)), 7),
+              ("hnn-t", H, H.t(1), 6),
+              ("hnn-q1/2", H, H.from_base(Q.rational(Fraction(1, 2))), 6)]
+    return [pytest.param(group, h, radius, id=label) for label, group, h, radius in cases]
+
+
+class TestGrowthOracle:
+    @pytest.mark.parametrize("group, h, radius", _growth_sweep())
+    def test_matches_numpy_fit_at_every_radius(self, monkeypatch, group, h, radius):
+        # the counts up to radius r are the first r + 1 of the largest ball's
+        counts = class_ball_counts(group, h, radius)
+        prefix = (lambda group, h, r: counts[:r + 1])
+        monkeypatch.setattr(zoo, "class_ball_counts", prefix)
+        monkeypatch.setattr(zoo_oracle, "class_ball_counts", prefix)
+        for r in range(1, radius + 1):
+            got = growth_classify(group, h, r)
+            want = zoo_oracle.growth_classify(group, h, r)
+            assert (got.kind, got.counts, got.window, got.ratios) == (
+                want.kind, want.counts, want.window, want.ratios)
+            if want.degree_estimate is None:
+                assert got.degree_estimate is None
+            else:
+                assert abs(got.degree_estimate - want.degree_estimate) <= 2e-15
+
+    def test_lamplighter_degree_bytes(self):
+        # the exact slope differs from np.polyfit in the last bits only
+        report = growth_classify(Lamplighter(2), Lamplighter(2).lamp(0, 1), 10)
+        assert report.degree_estimate == 0.9331433206733007
+
+
 class TestWordBalls:
     def test_lamplighter_ball(self):
         L = Lamplighter(2)

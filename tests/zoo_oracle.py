@@ -4,12 +4,17 @@
 pinch-and-push normalization over the result, the way the library did
 before its products were reduced only at the junction.  Slow and plain; the
 tests compare the library against it.
+
+``growth_classify`` is the growth fit as the library had it with numpy:
+``np.log`` and ``np.polyfit`` in place of ``math.log`` and an exact slope.
 """
 
 from fractions import Fraction
 
-from etarho.zoo import (Q_IDENTITY, HnnShift, QSemidirect, _lam_add, _multiplier,
-                        q_alpha, q_in_A, q_inv)
+import numpy as np
+
+from etarho.zoo import (Q_IDENTITY, GrowthReport, HnnShift, QSemidirect, _lam_add,
+                        _multiplier, class_ball_counts, q_alpha, q_in_A, q_inv)
 
 ZERO = Fraction(0)
 
@@ -117,3 +122,30 @@ def class_levels(group, h, radius: int) -> list[set]:
         level -= seen
         seen |= level
     return levels
+
+
+def growth_classify(group, h, max_radius: int) -> GrowthReport:
+    """The library's growth verdict, fitted by numpy."""
+    counts = class_ball_counts(group, h, max_radius)
+    lo = max(max_radius // 2, 1)
+    window = list(range(lo, max_radius + 1))
+    ratios = tuple(counts[r] / counts[r - 1] for r in range(lo, max_radius + 1)
+                   if counts[r - 1] > 0)
+    log_counts = [np.log(counts[r]) for r in window]
+    diffs = np.diff(log_counts)
+    convex = bool(len(diffs) < 2 or np.all(np.diff(diffs) >= -0.05))
+    if ratios and convex and all(r >= 1.5 for r in ratios):
+        return GrowthReport("exponential", None, tuple(counts),
+                            (lo, max_radius), ratios)
+    log_r = [np.log(r) for r in window]
+    if len(window) >= 4:
+        half = len(window) // 2
+        s1 = np.polyfit(log_r[:half + 1], log_counts[:half + 1], 1)[0]
+        s2 = np.polyfit(log_r[half:], log_counts[half:], 1)[0]
+        s_all = np.polyfit(log_r, log_counts, 1)[0]
+        if abs(s1 - s2) <= 0.25:
+            return GrowthReport("polynomial", float(s_all), tuple(counts),
+                                (lo, max_radius), ratios)
+    elif len(set(counts)) == 1:
+        return GrowthReport("polynomial", 0.0, tuple(counts), (lo, max_radius), ratios)
+    return GrowthReport("inconclusive", None, tuple(counts), (lo, max_radius), ratios)
