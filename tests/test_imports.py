@@ -76,6 +76,20 @@ def test_cli_run_loads_neither_sympy_nor_numpy(argv):
     assert loaded_after(cli_code(argv)) == []
 
 
+# growth and the field inverse once loaded numpy and sympy respectively; the
+# test names keep that history, and both must now load neither
+def test_growth_loads_numpy_only():
+    argv = ["growth", "--group", "lamplighter:2", "--element", "lamp:0", "--max-radius", "8"]
+    assert loaded_after(cli_code(argv)) == []
+
+
+def test_field_inverse_loads_sympy_only():
+    code = ("from etarho.cyclotomic import CyclotomicValue\n"
+            "z = CyclotomicValue.root_of_unity(7)\n"
+            "assert (z + 2).inverse() * (z + 2) == 1")
+    assert loaded_after(code) == []
+
+
 # one call of every subcommand, the full acceptance suite included
 EVERY_SUBCOMMAND = [
     ["chars", "--group", "cyclic:5", "--basis", "plus"],
