@@ -48,6 +48,8 @@ print("  span rank over dim-7 lens spaces:", span_rank(7, "plus", 4),
       " = rank_plus(cyclic:7) =", rank_plus(g7))
 print("  span rank over dim-7 lens spaces at n = 61:", span_rank(61, "plus", 4),
       " = rank_plus(cyclic:61) =", rank_plus(FiniteGroup.cyclic(61)))
+print("  span rank over dim-3 lens spaces at n = 31:", span_rank(31, "plus", 2),
+      "< rank_plus(cyclic:31) =", rank_plus(FiniteGroup.cyclic(31)))
 
 print()
 print("== rationality of integer-character twists ==")

@@ -23,7 +23,8 @@ to n w^(h x) (w^x - 1)^-1, and so
 
 which is the image of the exact entry whenever p divides neither n (p > n)
 nor the scale's denominator.  A rank of these F_p rows is therefore a lower
-bound for the exact rank; ``span_rank`` holds the proof and the fallback.
+bound for the exact rank, and ``span_rank`` proves the rank with these rows
+alone, under as many of the prime ideals above such p as a norm bound asks.
 
 The overall normalization against published eta tables is deliberately a
 configuration knob (``defect_scale``); everything this package asserts about
@@ -40,9 +41,9 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 from .chars import (ClassFunction, FiniteGroup, RhoVector, VirtualRep,
-                    class_space_basis, fourier_eta, pair_phi)
-from .cyclotomic import CyclotomicValue
-from .exactlinalg import _EchelonModP, _prime_and_root, exact_rank
+                    fourier_eta, pair_phi)
+from .cyclotomic import CyclotomicValue, euler_phi
+from .exactlinalg import _EchelonModP, _prime_ideals
 
 
 @dataclass(frozen=True)
@@ -210,29 +211,52 @@ def _fp_row(n: int, parity: str, weights: tuple[int, ...], scale: Fraction,
     return [(rho[c] + sign * rho[n - c]) % p for c in range(1, (n + 1) // 2)]
 
 
+def _minor_norm_bits(n: int, k: int, num: int, s: int) -> int:
+    """bits with |Norm(D)| < 2^bits for every s x s minor D of pairing rows
+    scaled by n^(k+1) den(scale), where num = num(scale).
+
+    A scaled entry is num (prod_l S(x_l) +- prod_l S(-x_l)), S(x) the factor
+    sum of the module docstring, and
+    |sigma_u(S(x))| = n / (2 |sin(pi u x / n)|) <= n^2/4 since
+    sin(pi / n) >= 2/n.  So every conjugate of an entry is at most
+    B = 2 |num| (n^2/4)^k, Hadamard bounds every conjugate of D by
+    (s B^2)^(s/2), and |Norm(D)| <= (s B^2)^(s phi(n)/2) < 2^(L s phi(n)/2)
+    once 2^L > s B^2 (phi(n) is even).
+    """
+    L = (s * (2 * num * n ** (2 * k)) ** 2 // 16 ** k).bit_length()
+    return euler_phi(n) * s * L // 2
+
+
 def span_rank(n: int, parity: str, k: int, weights_list=None,
               defect_scale=Fraction(1)) -> int:
     """Exact rank of the lens tables paired against the Class+-_0 basis.
 
     Rows are lens spaces from ``weights_list`` (defaults to the full
     deduplicated family, taken lazily), columns the deterministic basis
-    functions, (n - 1)/2 of them since n is odd.
+    functions, (n - 1)/2 of them since n is odd.  Each weight tuple must
+    have k entries.
 
-    Rows are first built straight in F_p, (p, w) = ``_prime_and_root(n)``,
-    from the closed form of the module docstring (``_fp_row``), and stop as
-    soon as their rank there reaches the column count.  This is a proof:
+    Rows are built straight in F_p, one prime ideal (p, zeta_n - w) of
+    ``_prime_ideals(n)`` at a time, from the closed form of the module
+    docstring (``_fp_row``).  This is a proof:
 
-    - the exact row has entries in Q(zeta_n) whose denominators divide
-      n^(k+1) den(scale); p > 2^31 > n, so when p does not divide den(scale)
-      the ring map zeta_n -> w of ``_EchelonModP`` is defined on the row,
-      and it sends each factor sum_m m zeta^((m+h) x) to n w^(h x)/(w^x - 1),
-      w^x - 1 being a unit for x != 0 (mod n) since w has order n mod p;
-    - so the F_p row is the image of the exact row, a vanishing minor maps
-      to zero, and the rank in F_p is a lower bound for the exact rank;
-    - the column count is an upper bound, so reaching it proves the rank.
-
-    Otherwise, or when p divides the scale's denominator, the exact rows are
-    built and their rank comes from ``exact_rank``.
+    - scaled by n^(k+1) den(scale), the exact row has entries in Z[zeta_n];
+      p > 2^31 > n, so when p does not divide den(scale) the ring map
+      zeta_n -> w of ``_EchelonModP`` is defined on the row, and it sends
+      each factor sum_m m zeta^((m+h) x) to n w^(h x)/(w^x - 1), w^x - 1
+      being a unit for x != 0 (mod n) since w has order n mod p.  So the
+      F_p row is the image of the exact row, and the rank in F_p is a lower
+      bound for the exact rank.  Ideals above a p that divides den(scale)
+      are skipped, and not counted below;
+    - the column and row counts are upper bounds, so reaching either proves
+      the rank.  The first ideal takes the family lazily and stops at the
+      column count;
+    - otherwise let best be the largest rank seen in the m ideals used.  A
+      rank above best would give a nonzero (best + 1)-minor D lying in all
+      m ideals, so p_1 ... p_m divides Norm(D) and 31 m < bits(best + 1) of
+      ``_minor_norm_bits`` (the lemma of ``exactlinalg``, with the bound
+      taken from the closed form).  Once 31 m >= bits(best + 1), the rank
+      is best.
     """
     if parity not in ("plus", "minus"):
         raise ValueError("parity must be 'plus' or 'minus'")
@@ -241,22 +265,24 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
     if weights_list is None:
-        family = (LensSpace(n, weights) for weights in _weight_tuples(n, k))
+        family = _weight_tuples(n, k)
     else:
-        family = iter([LensSpace(n, weights) for weights in weights_list])  # validate all
+        family = [LensSpace(n, weights).weights for weights in weights_list]  # validate all
+        if any(len(weights) != k for weights in family):
+            raise ValueError(f"every weight tuple must have k={k} entries")
     scale = Fraction(defect_scale)
-    p, w = _prime_and_root(n)
-    spaces = []
-    if scale.denominator % p:
+    cols = (n - 1) // 2
+    kept, best, used = [], 0, 0
+    for p, w in _prime_ideals(n):
+        if scale.denominator % p == 0:
+            continue  # zeta_n -> w is not defined on the rows
         echelon = _EchelonModP(n, p, w)
-        for space in family:
-            spaces.append(space)
-            row = _fp_row(n, parity, space.weights, scale, p, w)
-            if echelon.add_residues(row) == (n - 1) // 2:
-                return (n - 1) // 2
-    basis = class_space_basis(FiniteGroup.cyclic(n), parity)
-    rows = []
-    for space in spaces + list(family):  # the F_p loop took all or none of it
-        rho = lens_delocalized_rho(space, scale)
-        rows.append([pair_phi(f, rho) for f in basis])
-    return exact_rank(rows)
+        for weights in kept if used else family:
+            if not used:  # the first ideal takes the family and keeps it
+                kept.append(weights)
+            if echelon.add_residues(_fp_row(n, parity, weights, scale, p, w)) == cols:
+                return cols
+        used += 1
+        best = max(best, len(echelon.pivots))
+        if best == len(kept) or 31 * used >= _minor_norm_bits(n, k, scale.numerator, best + 1):
+            return best

@@ -774,6 +774,8 @@ def growth_classify(group, h, max_radius: int) -> GrowthReport:
     ratios) on the outer half of the radii; the verdict is an estimate from
     finite data and is labelled as such, with raw counts always reported.
     """
+    if max_radius < 1:
+        raise ZooError(f"max_radius must be >= 1, got {max_radius}")
     counts = class_ball_counts(group, h, max_radius)
     lo = max(max_radius // 2, 1)
     window = list(range(lo, max_radius + 1))

@@ -277,6 +277,14 @@ class TestCliBehavior:
     def test_validation_error_exits_1(self, capsys):
         assert main(["lens", "--n", "4", "--weights", "1"]) == 1
 
+    @pytest.mark.parametrize("radius", ["0", "-1"])
+    def test_growth_without_a_radius_exits_1(self, radius, capsys):
+        assert main(["growth", "--group", "lamplighter:2", "--element", "lamp:0",
+                     "--max-radius", radius]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: max_radius must be >= 1")
+
     @pytest.mark.parametrize("argv", [
         ["ringcheck", "--orders", "3,5", "--value", "1/0"],
         ["lens", "--n", "3", "--weights", "1,1", "--defect-scale", "1/0"],

@@ -7,9 +7,9 @@ import pytest
 
 from etarho.chars import (FiniteGroup, class_space_basis, l2_twist, pair_phi,
                           rank_plus, regular_rep, trivial_rep)
-from etarho.cyclotomic import CyclotomicValue
+from etarho.cyclotomic import CyclotomicValue, euler_phi
 from etarho import lens
-from etarho.exactlinalg import _prime_and_root, exact_rank
+from etarho.exactlinalg import _EchelonModP, _prime_and_root, _prime_ideals, exact_rank
 from etarho.lens import (LensSpace, NotFound, lens_delocalized_rho,
                          lens_twisted_rho, search_nonvanishing, span_rank,
                          weight_family)
@@ -236,6 +236,41 @@ class TestSearch:
             search_nonvanishing(5, "plus", minus_f, [2], 10)
 
 
+@pytest.fixture
+def no_exact_rows(monkeypatch):
+    """Fails at once where span_rank would build exact rows."""
+    def refuse(*args):
+        raise AssertionError("span_rank built an exact lens table")
+
+    monkeypatch.setattr(lens, "lens_delocalized_rho", refuse)
+
+
+@pytest.fixture
+def ideals(monkeypatch):
+    """Records the ideal (p, w) of each row echelon form span_rank builds."""
+    used = []
+
+    class Spy(_EchelonModP):
+        def __init__(self, order, p, root):
+            used.append((p, root))
+            super().__init__(order, p, root)
+
+    monkeypatch.setattr(lens, "_EchelonModP", Spy)
+    return used
+
+
+def bound_ideals(n, k, scale, s):
+    """ceil(bits / 31), bits = L s phi(n)/2 with 2^L > s B^2 and
+    B = 2 |num(scale)| (n^2/4)^k: the ideals span_rank uses once its rank
+    s - 1 falls short, worked out in Fractions."""
+    b = 2 * abs(Fraction(scale).numerator) * Fraction(n * n, 4) ** k
+    L = 0
+    while 2 ** L <= s * b * b:
+        L += 1
+    return -(-(L * s * euler_phi(n) // 2) // 31)
+
+
+@pytest.mark.usefixtures("no_exact_rows")
 class TestSpanRank:
     def test_n3_k2_single_orbit(self):
         assert span_rank(3, "plus", 2, [(1, 1)]) == 1 == rank_plus(FiniteGroup.cyclic(3))
@@ -264,42 +299,46 @@ class TestSpanRank:
         with pytest.raises(ValueError):
             span_rank(5, "plus", 3)
 
+    @pytest.mark.parametrize("n, k, weights_list", [(5, 2, [(1,)]), (7, 2, [(1, 2, 3)]),
+                                                    (7, 4, [(1, 1, 2, 2), (1, 2)])])
+    def test_weight_tuples_of_another_length_rejected(self, n, k, weights_list):
+        with pytest.raises(ValueError, match=f"k={k}"):
+            span_rank(n, "plus", k, weights_list)
 
-@pytest.fixture
-def exact_calls(monkeypatch):
-    """Records each call span_rank makes to exact_rank."""
-    calls = []
-
-    def spy(rows):
-        calls.append(len(rows))
-        return exact_rank(rows)
-
-    monkeypatch.setattr(lens, "exact_rank", spy)
-    return calls
+    def test_lens_imports_no_exact_rank_path(self):
+        assert not hasattr(lens, "exact_rank") and not hasattr(lens, "class_space_basis")
 
 
+@pytest.mark.usefixtures("no_exact_rows")
 class TestSpanRankEarlyStop:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     @pytest.mark.parametrize("k", [2, 4])
-    def test_matches_exact_elimination(self, n, k, exact_calls):
+    def test_matches_exact_elimination(self, n, k, ideals):
         rows = pairing_rows(n, "plus", weight_family(n, k))
         rank = span_rank(n, "plus", k)
         assert rank == _echelon_rank(rows)
-        # the early stop fires exactly when the rank is the column count
-        assert (exact_calls == []) == (rank == len(rows[0]))
+        # one ideal proves full rank; a rank below it takes the bound's ideals
+        want = 1 if rank == len(rows[0]) else bound_ideals(n, k, 1, rank + 1)
+        assert ideals == list(islice(_prime_ideals(n), want))
 
-    def test_rank_below_column_count_runs_exact_rank(self, exact_calls):
-        assert span_rank(7, "plus", 2) == 2 < rank_plus(FiniteGroup.cyclic(7)) == 3
-        assert exact_calls == [len(weight_family(7, 2))]
+    def test_rank_below_column_count_takes_the_bound_ideals(self, ideals):
+        rows = pairing_rows(7, "plus", weight_family(7, 2))
+        assert span_rank(7, "plus", 2) == _echelon_rank(rows) == 2 < rank_plus(
+            FiniteGroup.cyclic(7)) == 3
+        assert ideals == list(islice(_prime_ideals(7), bound_ideals(7, 2, 1, 3)))
+        assert len(ideals) == 6
 
-    def test_repeated_weights(self, exact_calls):
+    def test_repeated_weights(self, ideals):
         weights = [(1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 2, 2), (1, 1, 1, 1), (1, 2, 3, 4),
                    (1, 1, 2, 2), (1, 2, 2, 6)]
         for end, rank in ((2, 1), (4, 2), (len(weights), 3)):
             assert span_rank(7, "plus", 4, weights[:end]) == _echelon_rank(
                 pairing_rows(7, "plus", weights[:end])) == rank
-        # full rank (3) is reached at the fifth row, so the whole list stops early
-        assert exact_calls == [2, 4]
+        # full rank (3) is reached at the fifth row, so the whole list stops at
+        # one ideal; the shorter lists fall short of their row count
+        first = list(islice(_prime_ideals(7), 100))
+        assert ideals == (first[:bound_ideals(7, 4, 1, 2)] + first[:bound_ideals(7, 4, 1, 3)]
+                          + first[:1])
 
     def test_invalid_weights_rejected_after_full_rank(self):
         with pytest.raises(ValueError):
@@ -314,9 +353,15 @@ class TestSpanRankEarlyStop:
         assert span_rank(7, "plus", 2) == 2
         assert calls == []
 
-    def test_n31_k2_rank_below_rank_plus(self):
+    def test_n31_k2_rank_below_rank_plus(self, ideals):
         # 16 rows, 15 columns, rank 12: the ideals pass a bound of thousands of bits
         assert span_rank(31, "plus", 2) == 12 < rank_plus(FiniteGroup.cyclic(31)) == 15
+        want = bound_ideals(31, 2, 1, 13)
+        assert ideals == list(islice(_prime_ideals(31), want)) and want > 200
+
+    def test_n15_minus_k3_falls_short(self):
+        rows = pairing_rows(15, "minus", weight_family(15, 3))
+        assert span_rank(15, "minus", 3) == _echelon_rank(rows) == 6 < 7
 
 
 @pytest.fixture
@@ -335,15 +380,6 @@ def fp_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def no_exact_rows(monkeypatch):
-    """Fails at once where span_rank would build exact rows."""
-    def refuse(*args):
-        raise AssertionError("span_rank took the exact path")
-
-    monkeypatch.setattr(lens, "lens_delocalized_rho", refuse)
-
-
 class TestFpRows:
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -358,19 +394,33 @@ class TestFpRows:
                 assert lens._fp_row(n, parity, weights, scale, p, w) == [
                     image_mod_p(v, n, p, w) for v in row]
 
-    def test_scale_with_p_in_its_denominator_takes_the_exact_path(self, fp_calls,
-                                                                  exact_calls):
+    def test_scale_with_p_in_its_denominator_skips_its_ideals(self, ideals, no_exact_rows):
         p, _ = _prime_and_root(5)
+        first = list(islice(_prime_ideals(5), 5))
         assert span_rank(5, "plus", 2, defect_scale=Fraction(1, p)) == 2
-        assert fp_calls == [] and exact_calls == [len(weight_family(5, 2))]
-        # a scale with p in its numerator only zeroes the F_p rows
-        assert span_rank(5, "plus", 2, defect_scale=p) == 2
-        assert len(fp_calls) == len(weight_family(5, 2)) and exact_calls[-1] == len(fp_calls)
+        assert ideals == first[4:5]  # the phi(5) ideals above p are not used
+        p, _ = _prime_and_root(7)
+        rows = pairing_rows(7, "plus", weight_family(7, 2), Fraction(1, p))
+        assert span_rank(7, "plus", 2, defect_scale=Fraction(1, p)) == _echelon_rank(rows) == 2
+        # ... nor counted: the bound still asks for its ideals above other primes
+        above_others = list(islice(_prime_ideals(7), 6, 6 + bound_ideals(7, 2, 1, 3)))
+        assert ideals[1:] == above_others and len(above_others) == 6
 
-    def test_n9_k2_falls_short_and_runs_exact_rank(self, fp_calls, exact_calls):
+    def test_scale_with_p_in_its_numerator_zeroes_its_ideals(self, ideals, no_exact_rows):
+        p, _ = _prime_and_root(5)
+        rows = pairing_rows(5, "plus", weight_family(5, 2), p)
+        assert span_rank(5, "plus", 2, defect_scale=p) == _echelon_rank(rows) == 2
+        # the phi(5) = 4 ideals above p see rank 0, too few for the bound that
+        # |num(scale)| = p sets on a nonzero entry; the fifth proves rank 2
+        assert bound_ideals(5, 2, p, 1) > 4
+        assert ideals == list(islice(_prime_ideals(5), 5))
+
+    def test_n9_k2_falls_short_on_fp_rows(self, fp_calls, ideals, no_exact_rows):
         rows = pairing_rows(9, "plus", weight_family(9, 2))
         assert span_rank(9, "plus", 2) == _echelon_rank(rows) == 3 < 4
-        assert fp_calls == weight_family(9, 2) and exact_calls == [len(rows)]
+        used = bound_ideals(9, 2, 1, 4)
+        assert ideals == list(islice(_prime_ideals(9), used))
+        assert fp_calls == weight_family(9, 2) * used
 
     @pytest.mark.parametrize("n, k, rank", [(127, 4, 63), (61, 6, 30)])
     def test_full_rank_up_to_the_lens_cap(self, n, k, rank, fp_calls, no_exact_rows):

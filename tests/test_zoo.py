@@ -447,6 +447,12 @@ class TestGrowth:
         report = growth_classify(L, L.shift(1), 10)
         assert report.kind == "exponential"
 
+    @pytest.mark.parametrize("radius", [0, -1])
+    def test_rejects_radius_below_one(self, radius):
+        # radius 0 would report the window [1, 0] and degree 0 from no data
+        with pytest.raises(ZooError, match="max_radius must be >= 1"):
+            growth_classify(Lamplighter(2), Lamplighter(2).lamp(0, 1), radius)
+
     def test_cyclic_degree_zero(self):
         report = growth_classify(Cyclic(5), 2, 8)
         assert report.kind == "polynomial"
