@@ -24,7 +24,18 @@ to n w^(h x) (w^x - 1)^-1, and so
 which is the image of the exact entry whenever p divides neither n (p > n)
 nor the scale's denominator.  A rank of these F_p rows is therefore a lower
 bound for the exact rank, and ``span_rank`` proves the rank with these rows
-alone, under as many of the prime ideals above such p as a norm bound asks.
+alone, under as many primes p as a norm bound asks.
+
+One elimination serves all phi(n) prime ideals (p, zeta_n - w^u) above p.
+The Galois map sigma_u: zeta -> zeta^u (gcd(u, n) = 1) sends S(x), the
+factor sum above, to S(u x), so sigma_u(rho_{g^j}) = rho_{g^(u j)}.  The
+pairing column c (rho(g^c) +- rho(g^-c)) goes to column +-u c mod n folded
+into 1..(n-1)/2, with a sign for minus; so sigma_u(M) = M Q for a signed
+permutation matrix Q, for any list of weights, deduplicated or not.
+Reducing M at (p, zeta - w^u) is reducing sigma_u(M) at (p, zeta - w), so
+every ideal above p gives the same F_p rank (Atiyah, Patodi and Singer II;
+Donnelly).  The same symmetry scales weight tuples: L(n; u a) has the table
+of L(n; a) with its classes relabelled.
 
 The overall normalization against published eta tables is deliberately a
 configuration knob (``defect_scale``); everything this package asserts about
@@ -43,7 +54,7 @@ from math import gcd
 from .chars import (ClassFunction, FiniteGroup, RhoVector, VirtualRep,
                     fourier_eta, pair_phi)
 from .cyclotomic import CyclotomicValue, euler_phi
-from .exactlinalg import _EchelonModP, _prime_ideals
+from .exactlinalg import _EchelonModP, _prime_and_root
 
 
 @dataclass(frozen=True)
@@ -106,26 +117,28 @@ def lens_twisted_rho(space: LensSpace, rep: VirtualRep, defect_scale=Fraction(1)
 
 
 def _canonical_weights(n: int, weights: tuple[int, ...]) -> tuple[int, ...]:
-    """Orbit representative under permutations and global unit scaling."""
-    best = None
-    for u in range(1, n):
-        if gcd(u, n) != 1:
-            continue
-        cand = tuple(sorted((u * a) % n for a in weights))
-        if best is None or cand < best:
-            best = cand
-    return best
+    """Orbit representative under permutations and global unit scaling.
+
+    The least sorted tuple u * weights starts with 1 (u = a_1^-1 puts 1 in
+    it), so the minimizing u sends some a_i to 1: only u = a_i^-1 are tried.
+    """
+    return min(tuple(sorted(u * a % n for a in weights))
+               for u in {pow(a, -1, n) for a in weights})
 
 
 def _weight_tuples(n: int, k: int):
     """``weight_family(n, k)``, one tuple at a time.
 
-    Sorted tuples come in lex order, so the first member of an orbit to come
+    A representative starts with 1, so only the sorted tuples (1, ...) are
+    listed.  They come in lex order, so the first member of an orbit to come
     up is its least, which is its canonical representative: a tuple opens a
     new orbit exactly when it is its own representative.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got k={k}")
     units = [a for a in range(1, n) if gcd(a, n) == 1]
-    for tup in combinations_with_replacement(units, k):
+    for rest in combinations_with_replacement(units, k - 1):
+        tup = (1,) + rest
         if _canonical_weights(n, tup) == tup:
             yield tup
 
@@ -236,9 +249,9 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
     functions, (n - 1)/2 of them since n is odd.  Each weight tuple must
     have k entries.
 
-    Rows are built straight in F_p, one prime ideal (p, zeta_n - w) of
-    ``_prime_ideals(n)`` at a time, from the closed form of the module
-    docstring (``_fp_row``).  This is a proof:
+    Rows are built straight in F_p, one prime p = 1 (mod n) above 2^31 at a
+    time (``_prime_and_root``), from the closed form of the module docstring
+    (``_fp_row``).  This is a proof:
 
     - scaled by n^(k+1) den(scale), the exact row has entries in Z[zeta_n];
       p > 2^31 > n, so when p does not divide den(scale) the ring map
@@ -246,17 +259,19 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
       each factor sum_m m zeta^((m+h) x) to n w^(h x)/(w^x - 1), w^x - 1
       being a unit for x != 0 (mod n) since w has order n mod p.  So the
       F_p row is the image of the exact row, and the rank in F_p is a lower
-      bound for the exact rank.  Ideals above a p that divides den(scale)
-      are skipped, and not counted below;
+      bound for the exact rank.  A p that divides den(scale) is skipped,
+      and not counted below;
     - the column and row counts are upper bounds, so reaching either proves
-      the rank.  The first ideal takes the family lazily and stops at the
+      the rank.  The first prime takes the family lazily and stops at the
       column count;
-    - otherwise let best be the largest rank seen in the m ideals used.  A
-      rank above best would give a nonzero (best + 1)-minor D lying in all
-      m ideals, so p_1 ... p_m divides Norm(D) and 31 m < bits(best + 1) of
-      ``_minor_norm_bits`` (the lemma of ``exactlinalg``, with the bound
-      taken from the closed form).  Once 31 m >= bits(best + 1), the rank
-      is best.
+    - otherwise let best be the largest rank seen at the primes used.  By
+      the Galois lemma of the module docstring, each of the phi(n) ideals
+      above a used p gives the rank seen at p, so a rank above best would
+      give a nonzero (best + 1)-minor D lying in all of them.  p splits
+      completely, so p^phi(n) divides Norm(D): with m = phi(n) times the
+      number of primes used, 31 m < bits(best + 1) of ``_minor_norm_bits``
+      (the lemma of ``exactlinalg``, with the bound taken from the closed
+      form).  Once 31 m >= bits(best + 1), the rank is best.
     """
     if parity not in ("plus", "minus"):
         raise ValueError("parity must be 'plus' or 'minus'")
@@ -272,17 +287,18 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
             raise ValueError(f"every weight tuple must have k={k} entries")
     scale = Fraction(defect_scale)
     cols = (n - 1) // 2
-    kept, best, used = [], 0, 0
-    for p, w in _prime_ideals(n):
+    kept, best, used, p = [], 0, 0, 2 ** 31
+    while True:
+        p, w = _prime_and_root(n, p)
         if scale.denominator % p == 0:
             continue  # zeta_n -> w is not defined on the rows
         echelon = _EchelonModP(n, p, w)
         for weights in kept if used else family:
-            if not used:  # the first ideal takes the family and keeps it
+            if not used:  # the first prime takes the family and keeps it
                 kept.append(weights)
             if echelon.add_residues(_fp_row(n, parity, weights, scale, p, w)) == cols:
                 return cols
-        used += 1
+        used += euler_phi(n)  # every ideal above p has this rank
         best = max(best, len(echelon.pivots))
         if best == len(kept) or 31 * used >= _minor_norm_bits(n, k, scale.numerator, best + 1):
             return best

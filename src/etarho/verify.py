@@ -13,12 +13,12 @@ import random
 import time
 from fractions import Fraction
 
-from .chars import (FiniteGroup, RhoVector, VirtualRep,
+from .chars import (ClassFunction, FiniteGroup, RhoVector, VirtualRep,
                     class_space_basis, cyclic_irreducible_character,
                     fourier_eta, l2_twist, pair_phi, r_plus_test_reps,
                     rank_plus)
 from .circle import (SubsetFamily, classify_convergence, eta_partial, eta_term)
-from .cyclotomic import CyclotomicValue
+from .cyclotomic import CyclotomicValue, _zeta_powers
 from .exactlinalg import exact_rank
 from .lens import (LensSpace, lens_delocalized_rho, lens_twisted_rho,
                    search_nonvanishing, span_rank, weight_family)
@@ -45,17 +45,19 @@ def _random_rho(group: FiniteGroup, rng: random.Random,
 
 
 def _random_virtual_rep(n: int, rng: random.Random) -> VirtualRep:
+    """sum_j c_j chi_j on cyclic:n, c_j drawn in [-3, 3] for j = 0..n-1;
+    its value at h is sum_j c_j zeta^(j h), summed on integer rows."""
+    powers = _zeta_powers(n)
+    coeffs = [rng.randint(-3, 3) for _ in range(n)]
+    vals = []
+    for h in range(n):
+        row = [0] * len(powers[0])
+        for j, c in enumerate(coeffs):
+            if c:
+                row = [a + c * b for a, b in zip(row, powers[j * h % n])]
+        vals.append(CyclotomicValue(n, row))
     group = FiniteGroup.cyclic(n)
-    char = None
-    for j in range(n):
-        coeff = rng.randint(-3, 3)
-        if not coeff:
-            continue
-        term = cyclic_irreducible_character(n, j).scale(coeff)
-        char = term if char is None else char + term
-    if char is None:
-        char = cyclic_irreducible_character(n, 0).scale(0)
-    return VirtualRep(group, char)
+    return VirtualRep(group, ClassFunction(group, tuple(vals)))
 
 
 def suite_01_quadrature_vs_closed_form() -> dict:

@@ -692,14 +692,6 @@ def _class_dist(group, h, radius: int) -> dict:
     return _conjugate_dist(group, h, radius)
 
 
-def _class_levels(group, h, radius: int) -> list[set]:
-    """Level r holds the conjugates w h w^-1 first reached at |w| = r."""
-    levels = [set() for _ in range(radius + 1)]
-    for c, r in _class_dist(group, h, radius).items():
-        levels[r].add(c)
-    return levels
-
-
 def class_ball(group, h, radius: int) -> set:
     """{w h w^-1 : |w| <= radius} as a set of normal forms.
 
@@ -729,7 +721,11 @@ def class_ball_rationals(group, q0, radius: int) -> set:
 
 def class_ball_counts(group, h, max_radius: int) -> list[int]:
     """Cumulative conjugate counts by radius (one BFS, all radii at once)."""
-    return list(accumulate(len(level) for level in _class_levels(group, h, max_radius)))
+    dist = _class_dist(group, h, max_radius)  # checks the radius cap first
+    counts = [0] * (max_radius + 1)
+    for r in dist.values():
+        counts[r] += 1
+    return list(accumulate(counts))
 
 
 def class_intersect_integers(group, radius: int) -> list[int]:

@@ -1,15 +1,17 @@
 """The exact paths that the fast rank code replaced, kept as test oracles:
 Gaussian elimination over Q(zeta_N) for ``etarho.exactlinalg.exact_rank``,
-exact pairing rows for ``etarho.lens.span_rank``, the eager weight family,
-and the theta rows built as sums of characters."""
+exact pairing rows for ``etarho.lens.span_rank``, the eager weight family
+over every unit scaling, and the theta rows and random virtual characters
+built as sums of characters."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
-from etarho.chars import ClassFunction, FiniteGroup, VirtualRep, class_space_basis
+from etarho.chars import (ClassFunction, FiniteGroup, VirtualRep, class_space_basis,
+                          cyclic_irreducible_character)
 from etarho.cyclotomic import CyclotomicValue
-from etarho.lens import LensSpace, _canonical_weights, lens_delocalized_rho
+from etarho.lens import LensSpace, lens_delocalized_rho
 from pairing_oracle import pair_phi
 
 
@@ -67,16 +69,29 @@ def image_mod_p(value, n, p, w) -> int:
                for i, c in enumerate(value.coefficients)) % p
 
 
+def canonical_weights(n, weights):
+    """Orbit representative under permutations and global unit scaling:
+    the least sorted tuple over every unit u mod n."""
+    best = None
+    for u in range(1, n):
+        if gcd(u, n) != 1:
+            continue
+        cand = tuple(sorted((u * a) % n for a in weights))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
 def eager_weight_family(n, k):
-    """The weight family built in full, with a set of the orbits seen."""
+    """The weight family built in full: every sorted k-tuple of units in lex
+    order, with a set of the orbit members seen."""
     units = [a for a in range(1, n) if gcd(a, n) == 1]
     seen = set()
     out = []
     for tup in combinations_with_replacement(units, k):
-        canon = _canonical_weights(n, tup)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
+        if tup not in seen:
+            seen.update(tuple(sorted(u * a % n for a in tup)) for u in units)
+            out.append(canonical_weights(n, tup))
     return out
 
 
@@ -94,3 +109,19 @@ def r_plus_test_reps(n):
                      - root_of_unity(n, 0) - root_of_unity(n, 0) for h in range(n))
         reps.append(VirtualRep(group, ClassFunction(group, vals)))
     return reps
+
+
+def random_virtual_rep(n, rng):
+    """sum_j c_j chi_j on cyclic:n, c_j drawn in [-3, 3] for j = 0..n-1, as a
+    sum of scaled irreducible characters."""
+    group = FiniteGroup.cyclic(n)
+    char = None
+    for j in range(n):
+        coeff = rng.randint(-3, 3)
+        if not coeff:
+            continue
+        term = cyclic_irreducible_character(n, j).scale(coeff)
+        char = term if char is None else char + term
+    if char is None:
+        char = cyclic_irreducible_character(n, 0).scale(0)
+    return VirtualRep(group, char)

@@ -11,6 +11,7 @@ from etarho.chars import (ClassFunction, FiniteGroup, GroupTableError,
                           rank_plus, regular_rep, tau_orbits, trivial_rep)
 from etarho.cyclotomic import CyclotomicValue
 from etarho.exactlinalg import exact_rank
+from etarho.verify import _random_virtual_rep
 import rank_oracle
 
 
@@ -261,6 +262,21 @@ class TestThetaInjectivity:
             for rep, ref in zip(reps, expected):
                 assert [(v.order, v.coefficients) for v in rep.character.values] == [
                     (v.order, v.coefficients) for v in ref.character.values]
+
+    def test_verify_virtual_reps_match_character_sums(self):
+        # the suite-4 inputs, from integer rows, against the scaled sums
+        # taking the same draws from the same generator state
+        for seed in range(6):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                n = rng.randint(1, 24)
+                assert ref_rng.randint(1, 24) == n
+                rep = _random_virtual_rep(n, rng)
+                ref = rank_oracle.random_virtual_rep(n, ref_rng)
+                assert rep.group == ref.group
+                assert [(v.order, v.coefficients) for v in rep.character.values] == [
+                    (v.order, v.coefficients) for v in ref.character.values]
+            assert rng.getstate() == ref_rng.getstate()
 
 
 class TestRhoVectorParity:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -343,6 +344,23 @@ class TestCliBehavior:
     def test_word_ball_above_cap_exits_2(self, capsys):
         assert main(["zoo", "--group", "hnn", "--ball", "13"]) == 2
         assert "desk-scale cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["100000000", "1" * 20])
+    def test_growth_radius_above_cap_exits_2_at_once(self, radius):
+        # the cap is checked before anything is sized by the radius; the child
+        # runs under its own 1 GB address-space limit, so a list of radius + 1
+        # entries would end in a MemoryError rather than take the machine
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "etarho", "growth", "--group", "hnn",
+                               "--element", "q:1", "--max-radius", radius], env=env,
+                              preexec_fn=limit_memory, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"computation failed: radius {radius} above desk-scale cap 12\n"
 
     def test_hnn_word_ball_stops_at_node_budget_in_bounded_memory(self, tmp_path):
         # radius 12 is under the cap; the node budget stops it at radius 8

@@ -1,21 +1,23 @@
+import random
 from fractions import Fraction
 from itertools import islice
 from math import floor, gcd
 
 import mpmath
 import pytest
+import sympy
 
 from etarho.chars import (FiniteGroup, class_space_basis, l2_twist, pair_phi,
                           rank_plus, regular_rep, trivial_rep)
 from etarho.cyclotomic import CyclotomicValue, euler_phi
 from etarho import lens
-from etarho.exactlinalg import _EchelonModP, _prime_and_root, _prime_ideals, exact_rank
+from etarho.exactlinalg import _EchelonModP, _prime_and_root, exact_rank
 from etarho.lens import (LensSpace, NotFound, lens_delocalized_rho,
                          lens_twisted_rho, search_nonvanishing, span_rank,
                          weight_family)
 from etarho.rho import rho2_from_delocalized, ring_from_orders
-from rank_oracle import (_echelon_rank, eager_weight_family, image_mod_p,
-                         pairing_rows)
+from rank_oracle import (_echelon_rank, canonical_weights, eager_weight_family,
+                         image_mod_p, pairing_rows)
 
 
 def rat(q):
@@ -246,13 +248,13 @@ def no_exact_rows(monkeypatch):
 
 
 @pytest.fixture
-def ideals(monkeypatch):
-    """Records the ideal (p, w) of each row echelon form span_rank builds."""
+def primes(monkeypatch):
+    """Records the prime p of each row echelon form span_rank builds."""
     used = []
 
     class Spy(_EchelonModP):
         def __init__(self, order, p, root):
-            used.append((p, root))
+            used.append(p)
             super().__init__(order, p, root)
 
     monkeypatch.setattr(lens, "_EchelonModP", Spy)
@@ -261,13 +263,29 @@ def ideals(monkeypatch):
 
 def bound_ideals(n, k, scale, s):
     """ceil(bits / 31), bits = L s phi(n)/2 with 2^L > s B^2 and
-    B = 2 |num(scale)| (n^2/4)^k: the ideals span_rank uses once its rank
-    s - 1 falls short, worked out in Fractions."""
+    B = 2 |num(scale)| (n^2/4)^k: the ideals of norm above 2^31 that a rank
+    s - 1 short of the rows needs, worked out in Fractions."""
     b = 2 * abs(Fraction(scale).numerator) * Fraction(n * n, 4) ** k
     L = 0
     while 2 ** L <= s * b * b:
         L += 1
     return -(-(L * s * euler_phi(n) // 2) // 31)
+
+
+def bound_primes(n, k, scale, s):
+    """The primes span_rank uses once its rank s - 1 falls short: each one
+    stands for the phi(n) ideals above it."""
+    return -(-bound_ideals(n, k, scale, s) // euler_phi(n))
+
+
+def first_primes(n, count):
+    """The first ``count`` primes p = 1 (mod n) above 2^31, by sympy."""
+    out, p = [], 2 ** 31 // n * n + 1
+    while len(out) < count:
+        if p > 2 ** 31 and sympy.isprime(p):
+            out.append(p)
+        p += n
+    return out
 
 
 @pytest.mark.usefixtures("no_exact_rows")
@@ -313,31 +331,32 @@ class TestSpanRank:
 class TestSpanRankEarlyStop:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     @pytest.mark.parametrize("k", [2, 4])
-    def test_matches_exact_elimination(self, n, k, ideals):
+    def test_matches_exact_elimination(self, n, k, primes):
         rows = pairing_rows(n, "plus", weight_family(n, k))
         rank = span_rank(n, "plus", k)
         assert rank == _echelon_rank(rows)
-        # one ideal proves full rank; a rank below it takes the bound's ideals
-        want = 1 if rank == len(rows[0]) else bound_ideals(n, k, 1, rank + 1)
-        assert ideals == list(islice(_prime_ideals(n), want))
+        # one prime proves full rank; a rank below it takes the bound's primes
+        want = 1 if rank == len(rows[0]) else bound_primes(n, k, 1, rank + 1)
+        assert primes == first_primes(n, want)
 
-    def test_rank_below_column_count_takes_the_bound_ideals(self, ideals):
+    def test_rank_below_column_count_takes_the_bound_ideals(self, primes):
         rows = pairing_rows(7, "plus", weight_family(7, 2))
         assert span_rank(7, "plus", 2) == _echelon_rank(rows) == 2 < rank_plus(
             FiniteGroup.cyclic(7)) == 3
-        assert ideals == list(islice(_prime_ideals(7), bound_ideals(7, 2, 1, 3)))
-        assert len(ideals) == 6
+        # the bound asks for 6 ideals: the phi(7) = 6 above the first prime
+        assert bound_ideals(7, 2, 1, 3) == 6
+        assert primes == first_primes(7, bound_primes(7, 2, 1, 3)) and len(primes) == 1
 
-    def test_repeated_weights(self, ideals):
+    def test_repeated_weights(self, primes):
         weights = [(1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 2, 2), (1, 1, 1, 1), (1, 2, 3, 4),
                    (1, 1, 2, 2), (1, 2, 2, 6)]
         for end, rank in ((2, 1), (4, 2), (len(weights), 3)):
             assert span_rank(7, "plus", 4, weights[:end]) == _echelon_rank(
                 pairing_rows(7, "plus", weights[:end])) == rank
         # full rank (3) is reached at the fifth row, so the whole list stops at
-        # one ideal; the shorter lists fall short of their row count
-        first = list(islice(_prime_ideals(7), 100))
-        assert ideals == (first[:bound_ideals(7, 4, 1, 2)] + first[:bound_ideals(7, 4, 1, 3)]
+        # one prime; the shorter lists fall short of their row count
+        first = first_primes(7, 10)
+        assert primes == (first[:bound_primes(7, 4, 1, 2)] + first[:bound_primes(7, 4, 1, 3)]
                           + first[:1])
 
     def test_invalid_weights_rejected_after_full_rank(self):
@@ -353,11 +372,18 @@ class TestSpanRankEarlyStop:
         assert span_rank(7, "plus", 2) == 2
         assert calls == []
 
-    def test_n31_k2_rank_below_rank_plus(self, ideals):
-        # 16 rows, 15 columns, rank 12: the ideals pass a bound of thousands of bits
+    def test_n31_k2_rank_below_rank_plus(self, primes):
+        # 16 rows, 15 columns, rank 12: the ideals pass a bound of thousands of
+        # bits, 30 of them (phi(31)) for each prime
         assert span_rank(31, "plus", 2) == 12 < rank_plus(FiniteGroup.cyclic(31)) == 15
-        want = bound_ideals(31, 2, 1, 13)
-        assert ideals == list(islice(_prime_ideals(31), want)) and want > 200
+        want = bound_primes(31, 2, 1, 13)
+        assert primes == first_primes(31, want) and want == 8
+        assert bound_ideals(31, 2, 1, 13) > 200
+
+    def test_n45_minus_k3_rank_with_its_primes(self, primes):
+        assert span_rank(45, "minus", 3) == 21 < 22
+        want = bound_primes(45, 3, 1, 22)
+        assert primes == first_primes(45, want) and want == 22
 
     def test_n15_minus_k3_falls_short(self):
         rows = pairing_rows(15, "minus", weight_family(15, 3))
@@ -394,33 +420,58 @@ class TestFpRows:
                 assert lens._fp_row(n, parity, weights, scale, p, w) == [
                     image_mod_p(v, n, p, w) for v in row]
 
-    def test_scale_with_p_in_its_denominator_skips_its_ideals(self, ideals, no_exact_rows):
-        p, _ = _prime_and_root(5)
-        first = list(islice(_prime_ideals(5), 5))
+    def test_scale_with_p_in_its_denominator_skips_its_ideals(self, primes, no_exact_rows):
+        p, q = first_primes(5, 2)
         assert span_rank(5, "plus", 2, defect_scale=Fraction(1, p)) == 2
-        assert ideals == first[4:5]  # the phi(5) ideals above p are not used
-        p, _ = _prime_and_root(7)
+        assert primes == [q]  # the phi(5) ideals above p are not used
+        p = first_primes(7, 1)[0]
         rows = pairing_rows(7, "plus", weight_family(7, 2), Fraction(1, p))
         assert span_rank(7, "plus", 2, defect_scale=Fraction(1, p)) == _echelon_rank(rows) == 2
-        # ... nor counted: the bound still asks for its ideals above other primes
-        above_others = list(islice(_prime_ideals(7), 6, 6 + bound_ideals(7, 2, 1, 3)))
-        assert ideals[1:] == above_others and len(above_others) == 6
+        # ... nor counted: the bound still asks for its primes above p
+        above_p = first_primes(7, 1 + bound_primes(7, 2, 1, 3))[1:]
+        assert primes[1:] == above_p and len(above_p) == 1
 
-    def test_scale_with_p_in_its_numerator_zeroes_its_ideals(self, ideals, no_exact_rows):
-        p, _ = _prime_and_root(5)
+    def test_scale_with_p_in_its_numerator_zeroes_its_ideals(self, primes, no_exact_rows):
+        p = first_primes(5, 1)[0]
         rows = pairing_rows(5, "plus", weight_family(5, 2), p)
         assert span_rank(5, "plus", 2, defect_scale=p) == _echelon_rank(rows) == 2
         # the phi(5) = 4 ideals above p see rank 0, too few for the bound that
-        # |num(scale)| = p sets on a nonzero entry; the fifth proves rank 2
+        # |num(scale)| = p sets on a nonzero entry; the next prime proves rank 2
         assert bound_ideals(5, 2, p, 1) > 4
-        assert ideals == list(islice(_prime_ideals(5), 5))
+        assert primes == first_primes(5, 2)
 
-    def test_n9_k2_falls_short_on_fp_rows(self, fp_calls, ideals, no_exact_rows):
+    def test_n9_k2_falls_short_on_fp_rows(self, fp_calls, primes, no_exact_rows):
         rows = pairing_rows(9, "plus", weight_family(9, 2))
         assert span_rank(9, "plus", 2) == _echelon_rank(rows) == 3 < 4
-        used = bound_ideals(9, 2, 1, 4)
-        assert ideals == list(islice(_prime_ideals(9), used))
+        used = bound_primes(9, 2, 1, 4)
+        assert primes == first_primes(9, used)
         assert fp_calls == weight_family(9, 2) * used
+
+    @pytest.mark.parametrize("n, parity, k", [(9, "plus", 2), (15, "minus", 3),
+                                              (21, "minus", 3)])
+    def test_every_ideal_above_p_gives_one_rank(self, n, parity, k):
+        # the Galois lemma of the lens module, on rows that are not
+        # deduplicated: family members shuffled, repeated and scaled by units
+        rng = random.Random(n)
+        units = [a for a in range(1, n) if gcd(a, n) == 1]
+        family = weight_family(n, k)
+        weights_list = []
+        for _ in range(2 * len(family)):
+            weights = list(rng.choice(family))
+            rng.shuffle(weights)
+            u = rng.choice(units) if rng.random() < 0.3 else 1
+            weights_list.append(tuple(u * a % n for a in weights))
+        p, w = _prime_and_root(n)
+        ranks = set()
+        for u in units:
+            root = pow(w, u, p)  # the ideal (p, zeta_n - w^u)
+            echelon = _EchelonModP(n, p, root)
+            for weights in weights_list:
+                echelon.add_residues(lens._fp_row(n, parity, weights, Fraction(1), p, root))
+            ranks.add(len(echelon.pivots))
+        assert len(ranks) == 1
+        if n < 21:  # short of full rank, so the lemma is not the column count
+            assert ranks.pop() < (n - 1) // 2
 
     @pytest.mark.parametrize("n, k, rank", [(127, 4, 63), (61, 6, 30)])
     def test_full_rank_up_to_the_lens_cap(self, n, k, rank, fp_calls, no_exact_rows):
@@ -438,6 +489,30 @@ class TestWeightFamily:
         for n in range(1, 16):
             for k in range(1, 5):
                 assert weight_family(n, k) == eager_weight_family(n, k)
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (9, 4), (15, 3), (21, 4), (31, 2), (45, 3),
+                                      (105, 3), (127, 2), (63, 4)])
+    def test_family_matches_eager_at_larger_n(self, n, k):
+        assert weight_family(n, k) == eager_weight_family(n, k)
+
+    def test_canonical_weights_try_every_unit_they_need(self):
+        # against the least sorted tuple over all units, on unsorted tuples
+        rng = random.Random(21)
+        for n in (9, 15, 21, 45, 63, 105):
+            units = [a for a in range(1, n) if gcd(a, n) == 1]
+            for _ in range(200):
+                weights = tuple(rng.choice(units) for _ in range(rng.randint(1, 5)))
+                assert lens._canonical_weights(n, weights) == canonical_weights(n, weights)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        # k = 0 would give the weightless "lens space" (), which LensSpace rejects
+        parity = "plus" if k % 2 == 0 else "minus"
+        f = class_space_basis(FiniteGroup.cyclic(5), parity)[0]
+        for call in (lambda: weight_family(5, k), lambda: span_rank(5, parity, k),
+                     lambda: search_nonvanishing(5, parity, f, [k, k + 2], 50)):
+            with pytest.raises(ValueError, match=f"k={k}"):
+                call()
 
     def test_symmetry_dedup_n3(self):
         # (1,2) ~ (2,4) = (2,1) under the unit 2, so only two k=2 families
