@@ -407,7 +407,9 @@ def _cmd_ringcheck(args) -> RunReport:
 
 
 def _cmd_verify(args) -> RunReport:
-    only = ([int(x) for x in args.suite.split(",")] if args.suite else None)
+    if args.suite is not None and not args.suite.strip():
+        raise UsageError("--suite needs a comma list of suite numbers")
+    only = [int(x) for x in args.suite.split(",")] if args.suite else None
     outcome = verify_all(only)
     diagnostics = [f"criterion {r['criterion']} failed"
                    for r in outcome["suites"] if not r["passed"]]

@@ -2,24 +2,10 @@
 
 Rows may mix orders; everything lives in Q(zeta_N) for the common order N.
 Scaling a row by the lcm of its denominators leaves the rank unchanged and
-puts every entry a in Z[zeta_N] (``_integral_row``).
-
-Ideals.  For a prime p = 1 (mod N) and a primitive N-th root of unity w mod
-p, zeta_N -> w maps Z[zeta_N] onto F_p with kernel the prime ideal
-P = (p, zeta_N - w) of norm p; the phi(N) roots w^u, gcd(u, N) = 1, give the
-phi(N) distinct ideals above p (``_prime_ideals``, every p above 2^31).  A
-vanishing minor maps to zero, so the rank mod P is at most the rank r, and
-it is r unless P contains every r x r minor.
-
-Bound.  Let D be a nonzero r x r minor.  Every embedding sigma has
-|sigma(a)| <= ||a||_1, the sum of the |coefficients| of a, so Hadamard's
-inequality on each conjugate of D gives
-|Norm(D)| <= prod_i (sum_j ||a_ij||_1^2)^(phi(N)/2) < 2^bits
-(``_norm_bound_bits``).  Distinct ideals P_1..P_m that all contain D divide
-(D), so p_1 ... p_m divides Norm(D) and 31 m < bits.  Hence once
-31 m >= bits, one of the first m ideals misses D, and the largest rank seen
-is r.  Full rank, min(rows, cols), is an upper bound and returns at once;
-the bound is worked out only when the first ideal falls short.
+puts every entry in Z[zeta_N] (``_integral_row``).  ``exact_rank`` then
+reduces the rows modulo one prime ideal (p, zeta_N - w) per prime and stops
+by the lemma of ``_certified_rank``, with the norm bound of
+``_norm_bound_bits``.
 
 This is the modular approach to linear algebra of von zur Gathen and
 Gerhard, Modern Computer Algebra, ch. 5.
@@ -28,8 +14,8 @@ Gerhard, Modern Computer Algebra, ch. 5.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from functools import cache, lru_cache
+from math import lcm
 
 from ._ntheory import factor, is_prime
 from .cyclotomic import CyclotomicValue, euler_phi
@@ -50,16 +36,52 @@ def _prime_and_root(order: int, above: int = 2 ** 31) -> tuple[int, int]:
         g += 1
 
 
-def _prime_ideals(order: int):
-    """The ideals (p, zeta_order - w) as pairs (p, w): the primes
-    p = 1 (mod order) above 2^31 in increasing order, each with its phi(order)
-    primitive roots w."""
+def _certified_rank(order: int, rows_mod, cols: int, per_prime: int, bits,
+                    skip=lambda p: False) -> int:
+    """Rank of a matrix over Q(zeta_order), proven by its ranks modulo
+    prime ideals.
+
+    For a prime p = 1 (mod order) and w of order ``order`` mod p, zeta -> w
+    maps Z[zeta] onto F_p with kernel the prime ideal (p, zeta - w), of norm
+    p.  ``rows_mod(p, w)`` yields the images in F_p of the rows, scaled into
+    Z[zeta]; the caller vouches that their rank is the rank modulo each of
+    ``per_prime`` distinct ideals above p.  The primes above 2^31 are taken
+    in turn (``_prime_and_root``), passing over, uncounted, each p where
+    ``skip(p)`` holds, as the map is not defined on the rows there.
+
+    A vanishing minor maps to zero, so a rank modulo an ideal is a lower
+    bound for the rank, and ``cols`` and the number of rows are upper
+    bounds: reaching either proves the rank.  Otherwise let best be the
+    largest rank seen and m the number of ideals used, which are distinct
+    as ideals above distinct primes are.  A rank above best
+    would give a nonzero (best + 1)-minor D lying in all m ideals; they
+    divide (D), and each has norm p > 2^31, so
+    2^(31 m) < |Norm(D)| < 2^bits(best + 1).  Once 31 m >= bits(best + 1),
+    the rank is best.
+    """
+    best = used = 0
     p = 2 ** 31
     while True:
         p, w = _prime_and_root(order, p)
-        for u in range(1, order + 1):
-            if gcd(u, order) == 1:
-                yield p, pow(w, u, p)
+        if skip(p):
+            continue
+        pivots: dict[int, list[int]] = {}  # pivot column -> row, 1 there
+        count = 0
+        for count, vec in enumerate(rows_mod(p, w), start=1):
+            for col, pivot in pivots.items():
+                c = vec[col]
+                if c:
+                    vec = [(a - c * b) % p for a, b in zip(vec, pivot)]
+            col = next((j for j, a in enumerate(vec) if a), None)
+            if col is not None:
+                inv = pow(vec[col], -1, p)
+                pivots[col] = [a * inv % p for a in vec]
+                if len(pivots) == cols:
+                    return cols
+        used += per_prime
+        best = max(best, len(pivots))
+        if best == count or 31 * used >= bits(best + 1):
+            return best
 
 
 def _integral_row(row) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -83,64 +105,32 @@ def _integral_row(row) -> list[tuple[int, list[tuple[int, int]]]]:
 
 
 def _norm_bound_bits(rows, order: int) -> int:
-    """bits with |Norm(D)| < 2^bits for every minor D of the integral rows."""
+    """bits with |Norm(D)| < 2^bits for every minor D of the integral rows.
+
+    Every embedding sigma has |sigma(a)| <= ||a||_1, the sum of the
+    |coefficients| of a, so Hadamard's inequality on each conjugate of D
+    gives |Norm(D)| <= prod_i (sum_j ||a_ij||_1^2)^(phi(N)/2) < 2^bits.
+    """
     return euler_phi(order) * sum(
         max(1, sum(sum(abs(c) for _, c in terms) ** 2 for _, terms in row)).bit_length()
         for row in rows) // 2 + 1
 
 
-class _EchelonModP:
-    """Row echelon form modulo the ideal (p, zeta_order - root), built one
-    integral row at a time; entry orders must divide ``order``."""
-
-    def __init__(self, order: int, p: int, root: int) -> None:
-        self.order, self.p, self.root = order, p, root
-        self.powers: dict[int, list[int]] = {}  # order d -> powers of root^(order/d)
-        self.pivots: dict[int, list[int]] = {}  # pivot column -> row, 1 there
-
-    def _image(self, entry) -> int:
-        d, terms = entry
-        powers = self.powers.get(d)
-        if powers is None:
-            if self.order % d:
-                raise ValueError(f"an entry of order {d} is not in Q(zeta_{self.order})")
-            z = pow(self.root, self.order // d, self.p)
-            powers = self.powers[d] = [pow(z, i, self.p) for i in range(euler_phi(d))]
-        return sum([c * powers[i] for i, c in terms]) % self.p
-
-    def add(self, row) -> int:
-        """Add one integral row; the rank modulo the ideal so far."""
-        return self.add_residues([self._image(entry) for entry in row])
-
-    def add_residues(self, vec: list[int]) -> int:
-        """Add one row already mapped into F_p; the rank so far."""
-        p = self.p
-        for col, pivot in self.pivots.items():
-            c = vec[col]
-            if c:
-                vec = [(a - c * b) % p for a, b in zip(vec, pivot)]
-        col = next((j for j, a in enumerate(vec) if a), None)
-        if col is not None:
-            inv = pow(vec[col], -1, p)
-            self.pivots[col] = [a * inv % p for a in vec]
-        return len(self.pivots)
-
-
 def exact_rank(rows) -> int:
     """Rank of a matrix with CyclotomicValue (or rational) entries, proven
-    by its ranks modulo enough prime ideals (see the module docstring)."""
+    by ``_certified_rank`` with one ideal (p, zeta_N - w) per prime."""
     rows = [_integral_row(row) for row in rows]
-    if not rows or not rows[0]:
-        return 0
-    full = min(len(rows), len(rows[0]))
-    order = lcm(*(d for row in rows for d, _ in row))
-    best = bits = 0
-    for used, ideal in enumerate(_prime_ideals(order), start=1):
-        echelon = _EchelonModP(order, *ideal)
+    cols = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != cols:
+            raise ValueError(f"ragged matrix: row {i} has {len(row)} entries, row 0 has {cols}")
+    orders = {d for row in rows for d, _ in row}
+    order = lcm(*orders)
+
+    def rows_mod(p, w):
+        powers = {d: [pow(w, order // d * i, p) for i in range(euler_phi(d))] for d in orders}
         for row in rows:
-            if echelon.add(row) == full:
-                return full
-        best = max(best, len(echelon.pivots))
-        bits = bits or _norm_bound_bits(rows, order)
-        if 31 * used >= bits:
-            return best
+            yield [sum([c * powers[d][i] for i, c in terms]) % p for d, terms in row]
+
+    bound = cache(lambda: _norm_bound_bits(rows, order))
+    return _certified_rank(order, rows_mod, cols, 1, lambda s: bound())

@@ -15,9 +15,9 @@ are the cotangent sums behind lens-space rho invariants (Atiyah, Patodi and
 Singer, Spectral asymmetry and Riemannian geometry II, 1975; Donnelly, 1978).
 
 Span ranks need no exact table.  Take a prime p = 1 (mod n) above 2^31 and w
-of order n mod p, and map zeta_n -> w as ``exactlinalg._EchelonModP`` does.
-Then w^x - 1 is a unit mod p for x != 0 (mod n), the factor sum above maps
-to n w^(h x) (w^x - 1)^-1, and so
+of order n mod p, and map zeta_n -> w: the ideal (p, zeta_n - w) of
+``exactlinalg._certified_rank``.  Then w^x - 1 is a unit mod p for
+x != 0 (mod n), the factor sum above maps to n w^(h x) (w^x - 1)^-1, and so
 
     rho_{g^j} -> scale n^-1 prod_l w^(h x_l) (w^(x_l) - 1)^-1  (mod p),
 
@@ -54,7 +54,7 @@ from math import gcd
 from .chars import (ClassFunction, FiniteGroup, RhoVector, VirtualRep,
                     fourier_eta, pair_phi)
 from .cyclotomic import CyclotomicValue, euler_phi
-from .exactlinalg import _EchelonModP, _prime_and_root
+from .exactlinalg import _certified_rank
 
 
 @dataclass(frozen=True)
@@ -249,29 +249,14 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
     functions, (n - 1)/2 of them since n is odd.  Each weight tuple must
     have k entries.
 
-    Rows are built straight in F_p, one prime p = 1 (mod n) above 2^31 at a
-    time (``_prime_and_root``), from the closed form of the module docstring
-    (``_fp_row``).  This is a proof:
-
-    - scaled by n^(k+1) den(scale), the exact row has entries in Z[zeta_n];
-      p > 2^31 > n, so when p does not divide den(scale) the ring map
-      zeta_n -> w of ``_EchelonModP`` is defined on the row, and it sends
-      each factor sum_m m zeta^((m+h) x) to n w^(h x)/(w^x - 1), w^x - 1
-      being a unit for x != 0 (mod n) since w has order n mod p.  So the
-      F_p row is the image of the exact row, and the rank in F_p is a lower
-      bound for the exact rank.  A p that divides den(scale) is skipped,
-      and not counted below;
-    - the column and row counts are upper bounds, so reaching either proves
-      the rank.  The first prime takes the family lazily and stops at the
-      column count;
-    - otherwise let best be the largest rank seen at the primes used.  By
-      the Galois lemma of the module docstring, each of the phi(n) ideals
-      above a used p gives the rank seen at p, so a rank above best would
-      give a nonzero (best + 1)-minor D lying in all of them.  p splits
-      completely, so p^phi(n) divides Norm(D): with m = phi(n) times the
-      number of primes used, 31 m < bits(best + 1) of ``_minor_norm_bits``
-      (the lemma of ``exactlinalg``, with the bound taken from the closed
-      form).  Once 31 m >= bits(best + 1), the rank is best.
+    Rows are built straight in F_p from the closed form of the module
+    docstring (``_fp_row``), and ``exactlinalg._certified_rank`` proves the
+    rank from them.  Scaled by n^(k+1) den(scale), the exact row has entries
+    in Z[zeta_n]; p > 2^31 > n, so a p that divides neither den(scale) nor n
+    lets zeta_n -> w map the row to its F_p row, and each used p counts as
+    the phi(n) ideals above it by the Galois lemma.  The norm bound is
+    ``_minor_norm_bits``.  The first prime takes the family lazily, and
+    stops early at the column count.
     """
     if parity not in ("plus", "minus"):
         raise ValueError("parity must be 'plus' or 'minus'")
@@ -286,19 +271,15 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
         if any(len(weights) != k for weights in family):
             raise ValueError(f"every weight tuple must have k={k} entries")
     scale = Fraction(defect_scale)
-    cols = (n - 1) // 2
-    kept, best, used, p = [], 0, 0, 2 ** 31
-    while True:
-        p, w = _prime_and_root(n, p)
-        if scale.denominator % p == 0:
-            continue  # zeta_n -> w is not defined on the rows
-        echelon = _EchelonModP(n, p, w)
-        for weights in kept if used else family:
-            if not used:  # the first prime takes the family and keeps it
-                kept.append(weights)
-            if echelon.add_residues(_fp_row(n, parity, weights, scale, p, w)) == cols:
-                return cols
-        used += euler_phi(n)  # every ideal above p has this rank
-        best = max(best, len(echelon.pivots))
-        if best == len(kept) or 31 * used >= _minor_norm_bits(n, k, scale.numerator, best + 1):
-            return best
+    kept, rest = [], iter(family)
+
+    def rows_mod(p, w):  # the rows kept so far, then the family's rest, kept as drawn
+        for weights in kept:
+            yield _fp_row(n, parity, weights, scale, p, w)
+        for weights in rest:
+            kept.append(weights)
+            yield _fp_row(n, parity, weights, scale, p, w)
+
+    return _certified_rank(n, rows_mod, (n - 1) // 2, euler_phi(n),
+                           lambda s: _minor_norm_bits(n, k, scale.numerator, s),
+                           lambda p: scale.denominator % p == 0)

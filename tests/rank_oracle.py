@@ -8,6 +8,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd, lcm
 
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
+
 from etarho.chars import (ClassFunction, FiniteGroup, VirtualRep, class_space_basis,
                           cyclic_irreducible_character)
 from etarho.cyclotomic import CyclotomicValue
@@ -67,6 +70,13 @@ def image_mod_p(value, n, p, w) -> int:
     step = n // value.order
     return sum(c.numerator * pow(c.denominator, -1, p) * pow(w, i * step, p)
                for i, c in enumerate(value.coefficients)) % p
+
+
+def rank_mod_p(rows, p) -> int:
+    """Rank of integer rows over F_p, by sympy."""
+    field = GF(p)
+    return DomainMatrix([[field(a) for a in row] for row in rows],
+                        (len(rows), len(rows[0])), field).rank()
 
 
 def canonical_weights(n, weights):

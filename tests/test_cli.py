@@ -527,6 +527,14 @@ class TestCliBehavior:
         assert payload["results"]["all_passed"] is True
         assert payload["results"]["suites"][0]["criterion"] == 2
 
+    @pytest.mark.parametrize("suite", ["", " "])
+    def test_verify_empty_suite_list_is_a_usage_error(self, capsys, suite):
+        # "" once ran all ten suites and exited 0
+        assert main(["verify", "--suite", suite]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[0] == "usage error: --suite needs a comma list of suite numbers"
+
     def test_report_envelope_schema(self):
         payload, _ = run_json(["ringcheck", "--orders", "3", "--value", "1/3"])
         assert set(payload) == {"command", "inputs", "results", "diagnostics",

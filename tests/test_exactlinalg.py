@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 
 import pytest
@@ -11,8 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from etarho import exactlinalg
 from etarho.cyclotomic import CyclotomicValue, cyclotomic_polynomial, euler_phi
-from etarho.exactlinalg import (_EchelonModP, _integral_row, _norm_bound_bits,
-                                _prime_and_root, _prime_ideals, exact_rank)
+from etarho.exactlinalg import _integral_row, _norm_bound_bits, _prime_and_root, exact_rank
 from rank_oracle import _echelon_rank
 
 
@@ -46,6 +44,15 @@ class TestExactRankOracle:
         zero_cols = rng.sample(range(n_cols), rng.randint(0, n_cols - 1))
         rows = random_rational_matrix(rng, n_rows, n_cols, rank, zero_cols)
         assert exact_rank(rows) == sympy.Matrix(rows).rank()
+
+    @pytest.mark.parametrize("rows", [[[0, 1], [1]], [[], [1]], [[1], [0, 1]]])
+    def test_ragged_matrix_rejected(self, rows):
+        # once an IndexError, a rank of 0 and a rank of 1
+        with pytest.raises(ValueError, match="row 1 has"):
+            exact_rank(rows)
+
+    def test_no_rows_or_no_columns(self):
+        assert exact_rank([]) == exact_rank([[]]) == exact_rank([[], []]) == 0
 
     def test_zero_and_repeated_rows(self):
         rows = [[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 6], [0, 1, 0]]
@@ -88,20 +95,30 @@ def sympy_rank(rows):
 
 @pytest.fixture
 def ideals(monkeypatch):
-    """Records the ideal (p, w) of each row echelon form exact_rank builds."""
+    """Records the ideal (p, w) of each prime the rank walk draws: exact_rank
+    takes the one ideal (p, zeta - w) above each."""
     used = []
 
-    class Spy(_EchelonModP):
-        def __init__(self, order, p, root):
-            used.append((p, root))
-            super().__init__(order, p, root)
+    def spy(order, above=2 ** 31):
+        used.append(prime_and_root(order, above))
+        return used[-1]
 
-    monkeypatch.setattr(exactlinalg, "_EchelonModP", Spy)
+    prime_and_root = exactlinalg._prime_and_root
+    monkeypatch.setattr(exactlinalg, "_prime_and_root", spy)
     return used
 
 
+def first_ideals(order, count):
+    """The first ``count`` ideals (p, w) of the walk, one per prime."""
+    out = [_prime_and_root(order)]
+    while len(out) < count:
+        out.append(_prime_and_root(order, out[-1][0]))
+    return out
+
+
 def bound_ideals(rows):
-    """ceil(bits / 31): the ideals exact_rank takes on a rank-deficient matrix."""
+    """ceil(bits / 31): the ideals, one per prime, that exact_rank takes on a
+    rank-deficient matrix."""
     order = lcm(*(v.order for row in rows for v in row if isinstance(v, CyclotomicValue)))
     return -(-_norm_bound_bits([_integral_row(row) for row in rows], order) // 31)
 
@@ -130,7 +147,7 @@ class TestModPCertificate:
         rows = [[random_value(rng, n) for _ in range(5)] for _ in range(2)]
         rows += list(dependent_rows(rng, rows, 2))
         rank = exact_rank(rows)
-        assert len(ideals) == bound_ideals(rows) > 1
+        assert ideals == first_ideals(n, bound_ideals(rows)) and len(ideals) > 1
         assert rank == 2 == _echelon_rank(rows) == sympy_rank(rows)
 
     @pytest.mark.parametrize("dependent", [False, True])
@@ -158,12 +175,6 @@ class TestModPCertificate:
         assert len(ideals) == 1
         assert rank == 3 == _echelon_rank(rows) == sympy_rank(rows)
 
-    def test_value_outside_the_field_ends_the_certificate(self):
-        echelon = _EchelonModP(5, *_prime_and_root(5))
-        assert echelon.add(_integral_row([CyclotomicValue.root_of_unity(5), 1])) == 1
-        with pytest.raises(ValueError):
-            echelon.add(_integral_row([CyclotomicValue.root_of_unity(3), 1]))
-
     def test_prime_and_root_for_orders_1_to_96(self):
         for order in range(1, 97):
             p, w = _prime_and_root(order)
@@ -174,22 +185,18 @@ class TestModPCertificate:
 
     @pytest.mark.parametrize("order", [1, 2, 5, 12, 31])
     def test_prime_ideals(self, order):
-        """Primes p = 1 (mod order) above 2^31 in increasing order, with no
-        such prime skipped, each with phi(order) distinct primitive roots."""
-        phi = euler_phi(order)
-        ideals = list(islice(_prime_ideals(order), 3 * phi))
-        assert ideals[0] == _prime_and_root(order)
-        primes = [p for p, _ in ideals[::phi]]
+        """The walk's ideals: primes p = 1 (mod order) above 2^31 in
+        increasing order, with no such prime skipped, each with a primitive
+        root w."""
+        ideals = first_ideals(order, 4)
+        primes = [p for p, _ in ideals]
         assert primes == sorted(set(primes)) and primes[0] > 2 ** 31
         for p, q in zip(primes, primes[1:]):
             assert not any(sympy.isprime(r) for r in range(p + order, q, order))
-        for p in primes:
-            roots = [w for q, w in ideals if q == p]
-            assert len(set(roots)) == len(roots) == phi
+        for p, w in ideals:
             assert sympy.isprime(p) and (p - 1) % order == 0
-            for w in roots:
-                assert pow(w, order, p) == 1
-                assert all(pow(w, order // q, p) != 1 for q in sympy.primefactors(order))
+            assert pow(w, order, p) == 1
+            assert all(pow(w, order // q, p) != 1 for q in sympy.primefactors(order))
 
 
 class TestIdealCount:
@@ -202,10 +209,10 @@ class TestIdealCount:
 
     @pytest.mark.parametrize("n", [3, 5, 12])
     def test_entry_p_lies_in_every_ideal_above_p(self, n, ideals):
+        # one ideal per prime: the next prime proves the rank
         p, _ = _prime_and_root(n)
         assert exact_rank([[CyclotomicValue.root_of_unity(n), 0], [0, p]]) == 2
-        assert len(ideals) == euler_phi(n) + 1
-        assert ideals[-1] == _prime_and_root(n, p)
+        assert ideals == first_ideals(n, 2)
 
     def test_entry_lies_in_the_first_ideal_only(self, ideals):
         p, w = _prime_and_root(5)
@@ -213,9 +220,9 @@ class TestIdealCount:
         assert len(ideals) == 2
 
     def test_rank_is_the_largest_seen_not_the_last(self, ideals):
-        # zeta - w lies only in the ideal of the root w; take the w of the last
-        # ideal the bound asks for, so that ideal alone sees rank 0
-        first = list(islice(_prime_ideals(5), 8))
+        # zeta - w lies in the ideal (p, zeta - w); take the w of the last
+        # prime the bound asks for, so that ideal alone sees rank 0
+        first = first_ideals(5, 8)
         for k, (_, w) in enumerate(first, start=1):
             rows = [[CyclotomicValue.root_of_unity(5) - w, 0, 0], [0, 0, 0]]
             if k > 1 and bound_ideals(rows) == k:

@@ -11,13 +11,14 @@ from etarho.chars import (FiniteGroup, class_space_basis, l2_twist, pair_phi,
                           rank_plus, regular_rep, trivial_rep)
 from etarho.cyclotomic import CyclotomicValue, euler_phi
 from etarho import lens
-from etarho.exactlinalg import _EchelonModP, _prime_and_root, exact_rank
+from etarho import exactlinalg
+from etarho.exactlinalg import _prime_and_root, exact_rank
 from etarho.lens import (LensSpace, NotFound, lens_delocalized_rho,
                          lens_twisted_rho, search_nonvanishing, span_rank,
                          weight_family)
 from etarho.rho import rho2_from_delocalized, ring_from_orders
 from rank_oracle import (_echelon_rank, canonical_weights, eager_weight_family,
-                         image_mod_p, pairing_rows)
+                         image_mod_p, pairing_rows, rank_mod_p)
 
 
 def rat(q):
@@ -249,15 +250,16 @@ def no_exact_rows(monkeypatch):
 
 @pytest.fixture
 def primes(monkeypatch):
-    """Records the prime p of each row echelon form span_rank builds."""
+    """Records each prime p that the rank walk of span_rank draws."""
     used = []
 
-    class Spy(_EchelonModP):
-        def __init__(self, order, p, root):
-            used.append(p)
-            super().__init__(order, p, root)
+    def spy(order, above=2 ** 31):
+        p, w = prime_and_root(order, above)
+        used.append(p)
+        return p, w
 
-    monkeypatch.setattr(lens, "_EchelonModP", Spy)
+    prime_and_root = exactlinalg._prime_and_root
+    monkeypatch.setattr(exactlinalg, "_prime_and_root", spy)
     return used
 
 
@@ -359,6 +361,13 @@ class TestSpanRankEarlyStop:
         assert primes == (first[:bound_primes(7, 4, 1, 2)] + first[:bound_primes(7, 4, 1, 3)]
                           + first[:1])
 
+    def test_fewer_independent_rows_than_columns_stop_at_one_prime(self, primes):
+        # 3 rows under 6 columns: reaching the row count proves the rank
+        weights = weight_family(13, 2)[:3]
+        assert span_rank(13, "plus", 2, weights) == 3 == _echelon_rank(
+            pairing_rows(13, "plus", weights))
+        assert primes == first_primes(13, 1)
+
     def test_invalid_weights_rejected_after_full_rank(self):
         with pytest.raises(ValueError):
             span_rank(5, "plus", 2, [(1, 1), (1, 2), (1, 1), (5, 1)])
@@ -420,16 +429,22 @@ class TestFpRows:
                 assert lens._fp_row(n, parity, weights, scale, p, w) == [
                     image_mod_p(v, n, p, w) for v in row]
 
-    def test_scale_with_p_in_its_denominator_skips_its_ideals(self, primes, no_exact_rows):
+    def test_scale_with_p_in_its_denominator_skips_its_ideals(self, primes, monkeypatch,
+                                                             no_exact_rows):
+        built = []  # the prime of each F_p row
+        fp_row = lens._fp_row
+        monkeypatch.setattr(lens, "_fp_row", lambda *args: built.append(args[4]) or fp_row(*args))
         p, q = first_primes(5, 2)
         assert span_rank(5, "plus", 2, defect_scale=Fraction(1, p)) == 2
-        assert primes == [q]  # the phi(5) ideals above p are not used
-        p = first_primes(7, 1)[0]
-        rows = pairing_rows(7, "plus", weight_family(7, 2), Fraction(1, p))
-        assert span_rank(7, "plus", 2, defect_scale=Fraction(1, p)) == _echelon_rank(rows) == 2
-        # ... nor counted: the bound still asks for its primes above p
-        above_p = first_primes(7, 1 + bound_primes(7, 2, 1, 3))[1:]
-        assert primes[1:] == above_p and len(above_p) == 1
+        # p is drawn, but no row is built under the phi(5) ideals above it
+        assert primes == [p, q] and set(built) == {q}
+        primes.clear()
+        p = first_primes(9, 1)[0]
+        rows = pairing_rows(9, "plus", weight_family(9, 2), Fraction(1, p))
+        assert span_rank(9, "plus", 2, defect_scale=Fraction(1, p)) == _echelon_rank(rows) == 3
+        # ... nor counted: the bound still asks for two primes above p
+        used = bound_primes(9, 2, 1, 4)
+        assert primes == first_primes(9, 1 + used) and used == 2
 
     def test_scale_with_p_in_its_numerator_zeroes_its_ideals(self, primes, no_exact_rows):
         p = first_primes(5, 1)[0]
@@ -465,10 +480,8 @@ class TestFpRows:
         ranks = set()
         for u in units:
             root = pow(w, u, p)  # the ideal (p, zeta_n - w^u)
-            echelon = _EchelonModP(n, p, root)
-            for weights in weights_list:
-                echelon.add_residues(lens._fp_row(n, parity, weights, Fraction(1), p, root))
-            ranks.add(len(echelon.pivots))
+            ranks.add(rank_mod_p([lens._fp_row(n, parity, weights, Fraction(1), p, root)
+                                  for weights in weights_list], p))
         assert len(ranks) == 1
         if n < 21:  # short of full rank, so the lemma is not the column count
             assert ranks.pop() < (n - 1) // 2
