@@ -7,6 +7,9 @@ Q(zeta_n) and obeys an exact parity law under class inversion:
   dim = 3 mod 4 (k even)  ->  symmetric table with real values
   dim = 1 mod 4 (k odd)   ->  antisymmetric table with imaginary values
 
+``LensSpace.parity`` names the class: "plus" for the first, "minus" for
+the second.
+
 Pairing tables against class functions produces the nonvanishing
 witnesses, span ranks, and the rationality behaviour of integer twists.
 """
@@ -32,9 +35,9 @@ print("== parity law in both dimensions mod 4 ==")
 for weights in ((1,), (1, 1), (1, 1, 2), (1, 1, 1, 2)):
     sp = LensSpace(5, tuple(w for w in weights))
     table = lens_delocalized_rho(sp)
-    kind = "symmetric/real" if sp.dim % 4 == 3 else "antisymmetric/imaginary"
-    holds = (table.is_tau_symmetric() if sp.dim % 4 == 3
-             else table.is_tau_antisymmetric())
+    plus = sp.parity == "plus"
+    kind = "symmetric/real" if plus else "antisymmetric/imaginary"
+    holds = table.is_tau_symmetric() if plus else table.is_tau_antisymmetric()
     print(f"  {sp} (dim {sp.dim}): expected {kind:24s} holds: {holds}")
 
 print()

@@ -47,10 +47,11 @@ class FiniteGroup:
         n = len(self.labels)
         if validate:
             self._validate(table, n)
-        else:
-            self.table = tuple(tuple(row) for row in table)
+        self.table = tuple(tuple(row) for row in table)
         self.identity = self._find_identity(n)
         self._inverse = tuple(self._find_inverse(i, n) for i in range(n))
+        if validate:
+            self._check_associative(n)
         classes = self._conjugacy_classes(n)
         self.classes = tuple(tuple(sorted(c)) for c in classes)
         class_of = [0] * n
@@ -87,7 +88,7 @@ class FiniteGroup:
         return cls(data["elements"], data["table"], name=data.get("name", "table"))
 
     def _validate(self, table, n: int) -> None:
-        """Check that ``table`` is an n x n group table and store it."""
+        """Check that ``table`` is n x n with entries in 0..n-1."""
         if (not isinstance(table, (list, tuple)) or len(table) != n
                 or any(not isinstance(row, (list, tuple)) or len(row) != n
                        for row in table)):
@@ -98,13 +99,8 @@ class FiniteGroup:
                     raise GroupTableError(f"table entry {v!r} is not an integer")
                 if not (0 <= v < n):
                     raise GroupTableError(f"table entry {v} out of range")
-        self.table = tuple(tuple(row) for row in table)
-        if self._find_identity(n) is None:
-            raise GroupTableError("no two-sided identity")
-        e = self._find_identity(n)
-        for i in range(n):
-            if self._find_inverse(i, n, identity=e) is None:
-                raise GroupTableError(f"element {i} has no inverse")
+
+    def _check_associative(self, n: int) -> None:
         for a in range(n):
             for b in range(n):
                 ab = self.table[a][b]
@@ -112,18 +108,17 @@ class FiniteGroup:
                     if self.table[ab][c] != self.table[a][self.table[b][c]]:
                         raise GroupTableError(f"associativity fails at ({a},{b},{c})")
 
-    def _find_identity(self, n: int):
+    def _find_identity(self, n: int) -> int:
         for e in range(n):
             if all(self.table[e][x] == x and self.table[x][e] == x for x in range(n)):
                 return e
-        return None
+        raise GroupTableError("no two-sided identity")
 
-    def _find_inverse(self, i: int, n: int, identity=None):
-        e = self.identity if identity is None else identity
+    def _find_inverse(self, i: int, n: int) -> int:
         for j in range(n):
-            if self.table[i][j] == e and self.table[j][i] == e:
+            if self.table[i][j] == self.identity == self.table[j][i]:
                 return j
-        return None
+        raise GroupTableError(f"element {i} has no inverse")
 
     def _conjugacy_classes(self, n: int):
         seen = [False] * n
@@ -179,6 +174,22 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={len(self)}, classes={self.n_classes()})"
 
 
+def _parity_sign(parity: str) -> int:
+    """+1 for 'plus' (Class^+_0: f(h^-1) = f(h)), -1 for 'minus' (= -f(h))."""
+    if parity not in ("plus", "minus"):
+        raise ValueError("parity must be 'plus' or 'minus'")
+    return 1 if parity == "plus" else -1
+
+
+def _tau_holds(group: FiniteGroup, values, parity: str) -> bool:
+    """values[<h^-1>] = +-values[<h>] on every class, exactly."""
+    sign = _parity_sign(parity)
+    if not all(isinstance(v, CyclotomicValue) for v in values):
+        raise ValueError("parity flags are exact-mode only")
+    return all(values[group.inverse_class[ci]] == (v if sign > 0 else -v)
+               for ci, v in enumerate(values))
+
+
 def tau_orbits(group: FiniteGroup) -> list[tuple[int, ...]]:
     """Orbits of conjugacy classes under <h> -> <h^-1>, each sorted, in order."""
     seen = set()
@@ -211,19 +222,10 @@ class ClassFunction:
     def at_element(self, g: int) -> CyclotomicValue:
         return self.values[self.group.class_of[g]]
 
-    def in_class_plus0(self) -> bool:
-        """f(1) = 0 and f(h) = f(h^-1) for all classes, exactly."""
-        if not self.values[self.group.identity_class()].is_zero():
-            return False
-        return all(self.values[ci] == self.values[self.group.inverse_class[ci]]
-                   for ci in range(len(self.values)))
-
-    def in_class_minus0(self) -> bool:
-        """f(1) = 0 and f(h) = -f(h^-1) for all classes, exactly."""
-        if not self.values[self.group.identity_class()].is_zero():
-            return False
-        return all(self.values[ci] == -self.values[self.group.inverse_class[ci]]
-                   for ci in range(len(self.values)))
+    def in_class0(self, parity: str) -> bool:
+        """f in Class^+_0 (parity='plus') or Class^-_0 ('minus'), exactly."""
+        return (_tau_holds(self.group, self.values, parity)
+                and self.values[self.group.identity_class()].is_zero())
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.values)
@@ -337,18 +339,10 @@ class RhoVector:
         return self.values[self.group.identity_class()]
 
     def is_tau_symmetric(self) -> bool:
-        self._require_exact()
-        return all(self.values[ci] == self.values[self.group.inverse_class[ci]]
-                   for ci in range(len(self.values)))
+        return _tau_holds(self.group, self.values, "plus")
 
     def is_tau_antisymmetric(self) -> bool:
-        self._require_exact()
-        return all(self.values[ci] == -self.values[self.group.inverse_class[ci]]
-                   for ci in range(len(self.values)))
-
-    def _require_exact(self):
-        if not self.is_exact():
-            raise ValueError("parity flags are exact-mode only")
+        return _tau_holds(self.group, self.values, "minus")
 
     def to_json(self) -> dict:
         out = []
@@ -360,6 +354,14 @@ class RhoVector:
         return {"group": self.group.name, "values": out}
 
 
+def _class0_orbits(group: FiniteGroup, parity: str) -> list[tuple[int, ...]]:
+    """The tau-orbits that carry a basis function (see class_space_basis)."""
+    sign = _parity_sign(parity)
+    e_class = group.identity_class()
+    return [o for o in tau_orbits(group)
+            if e_class not in o and (sign > 0 or len(o) == 2)]
+
+
 def class_space_basis(group: FiniteGroup, parity: str) -> list[ClassFunction]:
     """Deterministic basis of Class^+_0 (parity='plus') or Class^-_0 ('minus').
 
@@ -367,48 +369,28 @@ def class_space_basis(group: FiniteGroup, parity: str) -> list[ClassFunction]:
     nontrivial classes.  minus: one (+1 on <g>, -1 on <g^-1>) function per
     orbit with <g> != <g^-1>.
     """
-    if parity not in ("plus", "minus"):
-        raise ValueError("parity must be 'plus' or 'minus'")
-    e_class = group.identity_class()
+    sign = _parity_sign(parity)
     basis = []
-    for orbit in tau_orbits(group):
-        if e_class in orbit:
-            continue
+    for orbit in _class0_orbits(group, parity):
         vals = [CyclotomicValue.zero() for _ in range(group.n_classes())]
-        if parity == "plus":
-            for ci in orbit:
-                vals[ci] = CyclotomicValue.one()
-            basis.append(ClassFunction(group, tuple(vals)))
-        else:
-            if len(orbit) == 1:
-                continue  # self-inverse class forces f = 0
-            lo, hi = orbit
-            vals[lo] = CyclotomicValue.one()
-            vals[hi] = -CyclotomicValue.one()
-            basis.append(ClassFunction(group, tuple(vals)))
+        for ci, s in zip(orbit, (1, sign)):
+            vals[ci] = CyclotomicValue.from_rational(s)
+        basis.append(ClassFunction(group, tuple(vals)))
     return basis
 
 
 def rank_plus(group: FiniteGroup, include_identity: bool = False) -> int:
     """Number of tau-orbits of nontrivial classes (identity optionally counted)."""
-    e_class = group.identity_class()
-    orbits = tau_orbits(group)
-    count = sum(1 for o in orbits if e_class not in o)
-    return count + (1 if include_identity else 0)
+    return len(_class0_orbits(group, "plus")) + (1 if include_identity else 0)
 
 def rank_minus(group: FiniteGroup) -> int:
     """Number of tau-orbits with <h> != <h^-1>."""
-    e_class = group.identity_class()
-    return sum(1 for o in tau_orbits(group) if e_class not in o and len(o) == 2)
+    return len(_class0_orbits(group, "minus"))
 
 
 def is_in_R0(rep: VirtualRep, parity: str) -> bool:
     """Exact membership test for R^+_0 / R^-_0."""
-    if parity == "plus":
-        return rep.character.in_class_plus0()
-    if parity == "minus":
-        return rep.character.in_class_minus0()
-    raise ValueError("parity must be 'plus' or 'minus'")
+    return rep.character.in_class0(parity)
 
 
 def _as_complex(v) -> complex:

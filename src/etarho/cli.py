@@ -284,15 +284,14 @@ def _cmd_lens(args) -> RunReport:
     ring = ring_from_orders([space.n])
     rho2 = rho2_from_delocalized(rho)
     diagnostics = []
-    parity = "symmetric" if space.dim % 4 == 3 else "antisymmetric"
-    parity_holds = (rho.is_tau_symmetric() if space.dim % 4 == 3
-                    else rho.is_tau_antisymmetric())
+    symmetric = space.parity == "plus"
+    parity_holds = rho.is_tau_symmetric() if symmetric else rho.is_tau_antisymmetric()
     if not parity_holds:
         diagnostics.append("parity law violated (unexpected)")
     results = {
         "space": str(space),
         "dim": space.dim,
-        "expected_parity": parity,
+        "expected_parity": "symmetric" if symmetric else "antisymmetric",
         "parity_holds": parity_holds,
         "table": [{"class": f"g^{j}", "value": value_json(v)}
                   for j, v in enumerate(rho.values)],

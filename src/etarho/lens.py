@@ -45,6 +45,7 @@ ranks) is independent of it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,9 +53,28 @@ from itertools import combinations_with_replacement
 from math import gcd
 
 from .chars import (ClassFunction, FiniteGroup, RhoVector, VirtualRep,
-                    fourier_eta, pair_phi)
+                    _parity_sign, fourier_eta, pair_phi)
 from .cyclotomic import CyclotomicValue, euler_phi
 from .exactlinalg import _certified_rank
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is one (``operator.index``), never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _odd_n(n) -> int:
+    n = _integer(n, "n")
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"n must be odd and >= 3, got {n}")
+    return n
+
+
+def _k_parity(k: int) -> str:
+    return "minus" if k % 2 else "plus"  # dim = 2k - 1 = 3 (mod 4) iff k is even
 
 
 @dataclass(frozen=True)
@@ -65,9 +85,8 @@ class LensSpace:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(a) for a in self.weights))
-        if self.n < 3 or self.n % 2 == 0:
-            raise ValueError(f"n must be odd and >= 3, got {self.n}")
+        object.__setattr__(self, "n", _odd_n(self.n))
+        object.__setattr__(self, "weights", tuple(_integer(a, "weight") for a in self.weights))
         if not self.weights:
             raise ValueError("at least one weight is required")
         for a in self.weights:
@@ -81,6 +100,11 @@ class LensSpace:
     @property
     def dim(self) -> int:
         return 2 * self.k - 1
+
+    @property
+    def parity(self) -> str:
+        """'plus' iff k is even (dim = 3 mod 4: a tau-symmetric real table), else 'minus'."""
+        return _k_parity(self.k)
 
     def __str__(self):
         return f"L({self.n};{','.join(str(a) for a in self.weights)})"
@@ -160,9 +184,11 @@ class NotFound:
         return False
 
 
-def _check_parity_k(parity: str, k: int) -> bool:
-    # plus needs dim = 3 mod 4 (k even); minus needs dim = 1 mod 4 (k odd)
-    return (k % 2 == 0) if parity == "plus" else (k % 2 == 1)
+def _ks_of_parity(n: int, parity: str, ks):
+    """The k in ``ks`` with ``parity`` (lazily), once parity and n are checked."""
+    _parity_sign(parity)
+    _odd_n(n)
+    return (k for k in ks if _k_parity(k) == parity)
 
 
 def search_nonvanishing(n: int, parity: str, f: ClassFunction, k_range,
@@ -171,19 +197,15 @@ def search_nonvanishing(n: int, parity: str, f: ClassFunction, k_range,
 
     Returns (LensSpace, value) on success, NotFound otherwise.
     """
-    if parity not in ("plus", "minus"):
-        raise ValueError("parity must be 'plus' or 'minus'")
+    ks = _ks_of_parity(n, parity, k_range)
     if f.is_zero():
         raise ValueError("f must be a nonzero class function")
     if len(f.group) != n:
         raise ValueError("class function group does not match n")
-    ok = f.in_class_plus0() if parity == "plus" else f.in_class_minus0()
-    if not ok:
+    if not f.in_class0(parity):
         raise ValueError(f"f is not in Class{'+' if parity == 'plus' else '-'}_0")
     tried = 0
-    for k in k_range:
-        if not _check_parity_k(parity, k):
-            continue
+    for k in ks:
         for weights in _weight_tuples(n, k):
             if tried >= weight_budget:
                 return NotFound(n, parity, tried)
@@ -220,7 +242,7 @@ def _fp_row(n: int, parity: str, weights: tuple[int, ...], scale: Fraction,
         for a in weights:
             v = v * factors[j * a % n] % p
         rho[j] = v
-    sign = 1 if parity == "plus" else -1
+    sign = _parity_sign(parity)
     return [(rho[c] + sign * rho[n - c]) % p for c in range(1, (n + 1) // 2)]
 
 
@@ -258,12 +280,8 @@ def span_rank(n: int, parity: str, k: int, weights_list=None,
     ``_minor_norm_bits``.  The first prime takes the family lazily, and
     stops early at the column count.
     """
-    if parity not in ("plus", "minus"):
-        raise ValueError("parity must be 'plus' or 'minus'")
-    if not _check_parity_k(parity, k):
+    if k not in _ks_of_parity(n, parity, [k]):
         raise ValueError(f"k={k} has the wrong parity for '{parity}'")
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
     if weights_list is None:
         family = _weight_tuples(n, k)
     else:

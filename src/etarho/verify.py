@@ -163,12 +163,9 @@ def suite_06_lens_tables() -> dict:
                 space = LensSpace(n, weights)
                 rho = lens_delocalized_rho(space)
                 n_spaces += 1
-                if space.dim % 4 == 3:
-                    good = rho.is_tau_symmetric() and all(
-                        v.is_real() for v in rho.values)
-                else:
-                    good = rho.is_tau_antisymmetric() and all(
-                        v.is_imaginary() for v in rho.values)
+                plus = space.parity == "plus"
+                good = ((rho.is_tau_symmetric() if plus else rho.is_tau_antisymmetric())
+                        and all(v.is_real() if plus else v.is_imaginary() for v in rho.values))
                 if not good:
                     parity_failures.append(str(space))
     return {
@@ -376,7 +373,10 @@ def run_suite(number: int) -> dict:
 
 
 def verify_all(only: list[int] | None = None) -> dict:
-    numbers = sorted(set(only)) if only else list(range(1, len(SUITES) + 1))
+    """Run the suites numbered in ``only`` (all of them when None)."""
+    numbers = list(range(1, len(SUITES) + 1)) if only is None else sorted(set(only))
+    if not numbers:
+        raise ValueError("no suites selected")
     results = [run_suite(k) for k in numbers]
     return {
         "suites": results,

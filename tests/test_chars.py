@@ -42,17 +42,21 @@ class TestFiniteGroup:
         assert loaded.classes == g.classes
 
     def test_bad_tables_rejected(self):
-        with pytest.raises(GroupTableError):
+        with pytest.raises(GroupTableError, match="element 1 has no inverse"):
             FiniteGroup(["a", "b"], [[0, 1], [1, 1]])  # b has no inverse
-        with pytest.raises(GroupTableError):
-            FiniteGroup(["a", "b"], [[1, 0], [1, 0]])  # no identity
+        # not associative either ((0 0) 0 != 0 (0 0)): the identity is checked first
+        with pytest.raises(GroupTableError, match="no two-sided identity"):
+            FiniteGroup(["a", "b"], [[1, 0], [1, 0]])
+        # not associative either: the inverses are checked first, in order
+        with pytest.raises(GroupTableError, match="element 2 has no inverse"):
+            FiniteGroup(list("abc"), [[0, 1, 2], [1, 0, 0], [2, 1, 1]])
         # non-associative latin square (order 5 loop)
         loop = [[0, 1, 2, 3, 4],
                 [1, 0, 3, 4, 2],
                 [2, 4, 0, 1, 3],
                 [3, 2, 4, 0, 1],
                 [4, 3, 1, 2, 0]]
-        with pytest.raises(GroupTableError):
+        with pytest.raises(GroupTableError, match="associativity fails"):
             FiniteGroup(list("abcde"), loop)
 
 
@@ -101,9 +105,9 @@ class TestBasesAndRanks:
         for n in (4, 5, 7, 9):
             g = FiniteGroup.cyclic(n)
             for f in class_space_basis(g, "plus"):
-                assert f.in_class_plus0()
+                assert f.in_class0("plus")
             for f in class_space_basis(g, "minus"):
-                assert f.in_class_minus0()
+                assert f.in_class0("minus")
 
     def test_dimension_count_vs_classes(self):
         # dim Class+_0 + dim Class-_0 = #classes - 1, via exact rank

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from etarho.cli import UsageError, build_parser, main, run
+from etarho.verify import verify_all
 
 
 def run_json(argv):
@@ -534,6 +535,11 @@ class TestCliBehavior:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines()[0] == "usage error: --suite needs a comma list of suite numbers"
+
+    def test_verify_all_refuses_an_empty_selection(self):
+        # [] once ran all ten suites, as None does
+        with pytest.raises(ValueError, match="no suites selected"):
+            verify_all([])
 
     def test_report_envelope_schema(self):
         payload, _ = run_json(["ringcheck", "--orders", "3", "--value", "1/3"])

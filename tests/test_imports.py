@@ -1,7 +1,8 @@
 """Which heavy libraries each entry point loads, in a fresh interpreter.
 
 etarho runs on mpmath alone: numpy and sympy are test oracles only.  No
-entry point may load either.
+entry point may load either.  One more source guard sits here: the
+Class+-_0 parity rule is decided in one place.
 """
 
 import json
@@ -113,3 +114,15 @@ def test_everything_runs_with_numpy_and_sympy_refused():
     ])
     proc = _run(REFUSE.format(code=_indented(code)))
     assert proc.returncode == 0, proc.stderr
+
+
+# The parity string is checked only by chars._parity_sign, and the dimension
+# class (plus iff dim = 3 mod 4) only by LensSpace.parity; cli and verify ask
+# for the rule rather than work it out from dim.
+def test_parity_rule_decided_once():
+    package = Path(SRC) / "etarho"
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "chars.py" and "parity must be" in path.read_text()]
+    offenders += [name for name in ("cli.py", "verify.py")
+                  if "% 4" in (package / name).read_text()]
+    assert offenders == []

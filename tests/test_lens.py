@@ -7,8 +7,8 @@ import mpmath
 import pytest
 import sympy
 
-from etarho.chars import (FiniteGroup, class_space_basis, l2_twist, pair_phi,
-                          rank_plus, regular_rep, trivial_rep)
+from etarho.chars import (FiniteGroup, class_space_basis, is_in_R0, l2_twist,
+                          pair_phi, rank_plus, regular_rep, trivial_rep)
 from etarho.cyclotomic import CyclotomicValue, euler_phi
 from etarho import lens
 from etarho import exactlinalg
@@ -31,6 +31,12 @@ class TestLensSpace:
         assert LensSpace(5, (1,)).dim == 1
         assert LensSpace(7, (1, 2, 3, 4)).dim == 7
 
+    def test_parity_is_the_dimension_class(self):
+        for k, parity in [(1, "minus"), (2, "plus"), (3, "minus"), (4, "plus")]:
+            space = LensSpace(7, (1,) * k)
+            assert space.parity == parity
+            assert (space.dim % 4 == 3) == (parity == "plus")
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LensSpace(4, (1,))  # even
@@ -38,6 +44,16 @@ class TestLensSpace:
             LensSpace(9, (3,))  # not coprime
         with pytest.raises(ValueError):
             LensSpace(3, ())
+
+    # non-integers are rejected, never truncated ((1.5, 2) used to read as (1, 2))
+    @pytest.mark.parametrize("call, message", [
+        (lambda: LensSpace(5, (1.5, 2)), "weight must be an integer, got 1.5"),
+        (lambda: LensSpace(7.5, (1,)), "n must be an integer, got 7.5"),
+        (lambda: span_rank(5, "plus", 2, [(1.9, 2.2)]), "weight must be an integer, got 1.9"),
+    ], ids=["weight", "n", "span_rank weights"])
+    def test_non_integers_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestDelocalizedTable:
@@ -88,7 +104,9 @@ class TestDelocalizedTable:
         for n in (3, 5, 7):
             for k in (1, 2, 3, 4):
                 for weights in weight_family(n, k):
-                    rho = lens_delocalized_rho(LensSpace(n, weights))
+                    space = LensSpace(n, weights)
+                    rho = lens_delocalized_rho(space)
+                    assert space.parity == ("plus" if (2 * k - 1) % 4 == 3 else "minus")
                     if (2 * k - 1) % 4 == 3:
                         assert rho.is_tau_symmetric()
                         assert all(v.is_real() for v in rho.values)
@@ -235,8 +253,29 @@ class TestSearch:
 
     def test_wrong_parity_function_rejected(self):
         minus_f = class_space_basis(FiniteGroup.cyclic(5), "minus")[0]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"f is not in Class\+_0"):
             search_nonvanishing(5, "plus", minus_f, [2], 10)
+
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_even_n_rejected_whatever_the_budget(self, budget):
+        # a budget of 0 once returned NotFound before any lens space was built
+        f = class_space_basis(FiniteGroup.cyclic(4), "plus")[0]
+        with pytest.raises(ValueError, match="n must be odd and >= 3, got 4"):
+            search_nonvanishing(4, "plus", f, [2], budget)
+
+
+@pytest.mark.parametrize("parity", ["PLUS", ""])
+@pytest.mark.parametrize("call", [
+    lambda parity: class_space_basis(FiniteGroup.cyclic(5), parity),
+    lambda parity: is_in_R0(l2_twist(FiniteGroup.cyclic(5)), parity),
+    lambda parity: class_space_basis(FiniteGroup.cyclic(5), "plus")[0].in_class0(parity),
+    lambda parity: span_rank(5, parity, 2),
+    lambda parity: search_nonvanishing(
+        5, parity, class_space_basis(FiniteGroup.cyclic(5), "plus")[0], [2], 10),
+], ids=["class_space_basis", "is_in_R0", "in_class0", "span_rank", "search_nonvanishing"])
+def test_bad_parity_rejected(call, parity):
+    with pytest.raises(ValueError, match="parity must be 'plus' or 'minus'"):
+        call(parity)
 
 
 @pytest.fixture
@@ -316,8 +355,10 @@ class TestSpanRank:
         assert span_rank(5, "minus", 1, [(1,), (2,)]) == 2
 
     def test_parity_k_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k=3 has the wrong parity for 'plus'"):
             span_rank(5, "plus", 3)
+        with pytest.raises(ValueError, match="k=2 has the wrong parity for 'minus'"):
+            span_rank(5, "minus", 2)
 
     @pytest.mark.parametrize("n, k, weights_list", [(5, 2, [(1,)]), (7, 2, [(1, 2, 3)]),
                                                     (7, 4, [(1, 1, 2, 2), (1, 2)])])
