@@ -14,8 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-
-import mpmath
+from numbers import Complex, Rational
 
 from .cyclotomic import CyclotomicValue, _weighted_dot, _zeta_powers
 
@@ -23,6 +22,9 @@ from .cyclotomic import CyclotomicValue, _weighted_dot, _zeta_powers
 def _as_value(v) -> CyclotomicValue:
     if isinstance(v, CyclotomicValue):
         return v
+    if isinstance(v, Complex) and not isinstance(v, (Rational, float)):
+        raise ValueError(f"{v!r} is not exact: a class function takes rationals "
+                         "and cyclotomic values")
     return CyclotomicValue.from_rational(Fraction(v))
 
 
@@ -184,8 +186,6 @@ def _parity_sign(parity: str) -> int:
 def _tau_holds(group: FiniteGroup, values, parity: str) -> bool:
     """values[<h^-1>] = +-values[<h>] on every class, exactly."""
     sign = _parity_sign(parity)
-    if not all(isinstance(v, CyclotomicValue) for v in values):
-        raise ValueError("parity flags are exact-mode only")
     return all(values[group.inverse_class[ci]] == (v if sign > 0 else -v)
                for ci, v in enumerate(values))
 
@@ -205,7 +205,9 @@ def tau_orbits(group: FiniteGroup) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Complex-valued function constant on conjugacy classes, stored per class."""
+    """Function constant on conjugacy classes: one exact cyclotomic value
+    per class.  Rationals convert (a plain float exactly); complex and
+    mpmath values are rejected."""
 
     group: FiniteGroup
     values: tuple
@@ -316,26 +318,11 @@ def l2_twist(group: FiniteGroup) -> VirtualRep:
 
 
 @dataclass(frozen=True)
-class RhoVector:
-    """One value per conjugacy class; exact cyclotomic or numeric complex."""
+class RhoVector(ClassFunction):
+    """Rho data: the class function h -> rho_<h> (rho_(2) at the identity,
+    the delocalized eta invariants elsewhere), exact on every class."""
 
-    group: FiniteGroup
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(v if isinstance(v, (complex, mpmath.mpc)) else _as_value(v)
-                     for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != self.group.n_classes():
-            raise ValueError("one value per conjugacy class required")
-
-    def is_exact(self) -> bool:
-        return all(isinstance(v, CyclotomicValue) for v in self.values)
-
-    def __call__(self, ci: int):
-        return self.values[ci]
-
-    def identity_value(self):
+    def identity_value(self) -> CyclotomicValue:
         return self.values[self.group.identity_class()]
 
     def is_tau_symmetric(self) -> bool:
@@ -343,15 +330,6 @@ class RhoVector:
 
     def is_tau_antisymmetric(self) -> bool:
         return _tau_holds(self.group, self.values, "minus")
-
-    def to_json(self) -> dict:
-        out = []
-        for v in self.values:
-            if isinstance(v, CyclotomicValue):
-                out.append(v.to_json())
-            else:
-                out.append({"re": float(v.real), "im": float(v.imag)})
-        return {"group": self.group.name, "values": out}
 
 
 def _class0_orbits(group: FiniteGroup, parity: str) -> list[tuple[int, ...]]:
@@ -393,54 +371,30 @@ def is_in_R0(rep: VirtualRep, parity: str) -> bool:
     return rep.character.in_class0(parity)
 
 
-def _as_complex(v) -> complex:
-    if isinstance(v, CyclotomicValue):
-        c = v.embed()
-        return complex(c.real, c.imag)
-    return complex(v)
-
-
-def _numeric_sum(left, right) -> complex:
-    """sum of left[i] * right[i] in floats, left to right, with exact
-    entries on either side embedded first."""
-    total = None
-    for a, b in zip(left, right):
-        term = _as_complex(a) * _as_complex(b)
-        total = term if total is None else total + term
-    return total
-
-
-def fourier_eta(rep: VirtualRep, rho: RhoVector):
+def fourier_eta(rep: VirtualRep, rho: RhoVector) -> CyclotomicValue:
     """eta_phi = sum over elements of chi_phi(h) rho_<h>.
 
     Taken class by class as |class| * chi(rep) * rho(class); on abelian
-    groups this is the plain Fourier pairing.  An exact rho vector gives one
-    ``_weighted_dot`` with the class sizes as weights: integer numerators,
-    a single reduction mod Phi_m at the end.  A vector with any numeric entry
-    gives a complex, summed in floats.
+    groups this is the plain Fourier pairing.  One ``_weighted_dot`` with
+    the class sizes as weights: integer numerators, a single reduction mod
+    Phi_m at the end.
     """
     if rep.group != rho.group:
         raise ValueError("representation and rho vector live on different groups")
     group = rep.group
     sizes = [group.class_size(ci) for ci in range(group.n_classes())]
-    if rho.is_exact():
-        return _weighted_dot(sizes, rep.character.values, rho.values)
-    return _numeric_sum([chi * size for chi, size in zip(rep.character.values, sizes)],
-                        rho.values)
+    return _weighted_dot(sizes, rep.character.values, rho.values)
 
 
-def pair_phi(f: ClassFunction, rho: RhoVector):
+def pair_phi(f: ClassFunction, rho: RhoVector) -> CyclotomicValue:
     """Phi(f)(rho) = sum over classes of rho_<h> f(<h>).
 
-    An exact rho vector gives one ``_weighted_dot`` with unit weights:
-    integer numerators, a single reduction mod Phi_m at the end.  A vector
-    with any numeric entry gives a complex, summed in floats.
+    One ``_weighted_dot`` with unit weights: integer numerators, a single
+    reduction mod Phi_m at the end.
     """
     if f.group != rho.group:
         raise ValueError("class function and rho vector live on different groups")
-    if rho.is_exact():
-        return _weighted_dot([1] * len(f.values), f.values, rho.values)
-    return _numeric_sum(f.values, rho.values)
+    return _weighted_dot([1] * len(f.values), f.values, rho.values)
 
 
 def r_plus_test_reps(n: int) -> list[VirtualRep]:

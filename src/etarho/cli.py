@@ -15,6 +15,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,6 +305,16 @@ def _cmd_lens(args) -> RunReport:
                               "defect_scale": str(scale)}, results, diagnostics)
 
 
+def _check_printable(what: str, q: Fraction) -> None:
+    """Exit 1 on an exact coefficient longer than str() may print, rather
+    than fail inside the JSON rendering; the process-wide limit stays."""
+    limit = sys.get_int_max_str_digits()
+    for part, n in (("numerator", abs(q.numerator)), ("denominator", q.denominator)):
+        if limit and n >= 10 ** limit:  # Decimal counts the digits without str()
+            raise ValueError(f"{what} has a {Decimal(n).adjusted() + 1}-digit {part}, "
+                             f"above the {limit} digits that may be printed")
+
+
 def _cmd_circle(args) -> RunReport:
     family = _parse_subset(args.subset)
     _check_cap("circle --terms", args.terms, TERMS_CAP)
@@ -314,6 +325,10 @@ def _cmd_circle(args) -> RunReport:
     report = eta_partial(family, args.terms, cfg, audit=args.audit)
     if args.ahat is not None:
         report = product_with_ahat(report, Fraction(args.ahat))
+    for what, exact in (("the exact sum over the subset", report.verdict.exact),
+                        ("the exact partial sum", report.exact)):
+        if exact is not None:
+            _check_printable(what, exact.coeff)
     diagnostics = []
     if report.verdict.kind == "unknown":
         diagnostics.append("no convergence certificate; verdict unknown")

@@ -20,7 +20,7 @@ from math import gcd, lcm
 
 import mpmath
 
-from ._ntheory import cyclotomic_polynomial, euler_phi
+from ._ntheory import cyclotomic_polynomial, euler_phi, factor
 
 
 class OrderMismatchError(ValueError):
@@ -76,6 +76,36 @@ def _numerators(value: "CyclotomicValue", m: int) -> tuple[int, list[tuple[int, 
     step = m // value.order
     return den, [(k * step, c.numerator * (den // c.denominator))
                  for k, c in enumerate(coeffs) if c]
+
+
+@lru_cache(maxsize=256)
+def _unit_traces(n: int) -> tuple[Fraction, ...]:
+    """Tr(zeta_n^e) / phi(n) for e = 0..n-1.  With g = gcd(n, e), zeta_n^e
+    is a primitive (n/g)-th root of unity, whose trace over Q is mu(n/g);
+    over Q(zeta_n) that is mu(n/g) phi(n) / phi(n/g)."""
+    def mu(d):
+        exponents = factor(d).values()
+        return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+    return tuple(Fraction(mu(n // g), euler_phi(n // g))
+                 for g in (gcd(n, e) for e in range(n)))
+
+
+def _normalized_traces(value: "CyclotomicValue") -> tuple[Fraction, Fraction]:
+    """Tr(v) / phi(n) and Tr(v^2) / phi(n) for v in Q(zeta_n).
+
+    Lifting v into Q(zeta_m) multiplies each trace by [Q(zeta_m):Q(zeta_n)]
+    = phi(m) / phi(n), so both quotients are the same rationals in every
+    ambient field: a fingerprint of v that needs no Galois orbit."""
+    n = value.order
+    traces = _unit_traces(n)
+    den, terms = _numerators(value, n)
+    square = [0] * n
+    for pa, na in terms:
+        for pb, nb in terms:
+            square[(pa + pb) % n] += na * nb
+    first = sum(na * traces[pa] for pa, na in terms) / den
+    second = sum(c * traces[e] for e, c in enumerate(square) if c) / (den * den)
+    return first, second
 
 
 def _weighted_dot(weights, left, right) -> "CyclotomicValue":
@@ -298,8 +328,7 @@ class CyclotomicValue:
         """Monic minimal polynomial over Q, constant term first.
 
         Computed as the product of (x - w) over the distinct Galois
-        conjugates w; the result does not depend on the ambient order, which
-        also makes it the canonical fingerprint behind ``__hash__``.
+        conjugates w; the result does not depend on the ambient order.
         """
         if self.is_rational():
             return (-self.coefficients[0], Fraction(1))
@@ -348,13 +377,13 @@ class CyclotomicValue:
 
     def __hash__(self):
         # equality reaches across ambient orders (zeta_3 == zeta_6^2), so the
-        # hash must too: the minimal polynomial is order-independent
+        # hash must too: the normalized traces are order-independent
         h = object.__getattribute__(self, "_hash")
         if h is None:
             if self.is_rational():
                 h = hash(self.coefficients[0])
             else:
-                h = hash(self.minimal_polynomial())
+                h = hash(_normalized_traces(self))
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -38,8 +38,7 @@ class SubgroupInclusion:
             raise InclusionError("mapping must cover every element of the subgroup")
         if len(set(self.mapping)) != len(self.mapping):
             raise InclusionError("mapping is not injective")
-        tgt = self.target
-        t_mul = (lambda a, b: tgt.table[a][b]) if isinstance(tgt, FiniteGroup) else tgt.mul
+        t_mul = self.target.mul
         for a in range(len(self.sub)):
             for b in range(len(self.sub)):
                 if t_mul(self.mapping[a], self.mapping[b]) != self.mapping[self.sub.mul(a, b)]:

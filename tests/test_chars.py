@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from etarho.chars import (ClassFunction, FiniteGroup, GroupTableError,
@@ -291,19 +292,12 @@ class TestRhoVectorParity:
         anti = RhoVector(g, (rat(0), rat(1), rat(2), rat(-2), rat(-1)))
         assert anti.is_tau_antisymmetric() and not anti.is_tau_symmetric()
 
-    def test_numeric_mode_rejects_parity(self):
-        g = FiniteGroup.cyclic(3)
-        rho = RhoVector(g, (0.5 + 0j, 1j, -1j))
-        assert not rho.is_exact()
-        with pytest.raises(ValueError):
-            rho.is_tau_symmetric()
 
-    def test_numeric_mode_pairing(self):
-        # exact character against numeric rho values: embedded product
-        g = FiniteGroup.cyclic(3)
-        rho = RhoVector(g, (0.25 + 0j, 0.5j, -0.5j))
-        value = fourier_eta(l2_twist(g), rho)
-        assert isinstance(value, complex)
-        assert abs(value - (-(0.5j) - (-0.5j))) < 1e-12
-        rho2 = RhoVector(g, (1 + 0j, 2 + 0j, 3 + 0j))
-        assert abs(fourier_eta(trivial_rep(g), rho2) - 6) < 1e-12
+@pytest.mark.parametrize("kind", [ClassFunction, RhoVector])
+@pytest.mark.parametrize("value", [1j, 0.5 + 0j, mpmath.mpc(1, 2), mpmath.mpf(1)])
+def test_float_values_are_rejected(kind, value):
+    # a class function is exact on every class: floats other than a plain
+    # float (converted exactly) are refused by type, with the value named
+    g = FiniteGroup.cyclic(3)
+    with pytest.raises(ValueError, match=r"is not exact: a class function takes rationals"):
+        kind(g, (rat(0), value, rat(1)))

@@ -5,10 +5,12 @@ import os
 import resource
 import subprocess
 import sys
+from itertools import count, islice
 from pathlib import Path
 
 import pytest
 
+from etarho._ntheory import is_prime
 from etarho.cli import UsageError, build_parser, main, run
 from etarho.verify import verify_all
 
@@ -300,6 +302,20 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_unprintable_exact_sum_exits_1(self, capsys):
+        # 1/p summed over 500 primes above 10^9 has about 4500 digits on
+        # each side, past the default limit of str() on an int
+        big = list(islice((n for n in count(10 ** 9) if is_prime(n)), 500))
+        assert main(["circle", "--subset", "finite:" + ",".join(map(str, big)),
+                     "--terms", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: the exact sum over the subset has a ")
+        assert "-digit numerator" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
+        assert main(["circle", "--subset", "finite:" + ",".join(map(str, range(1, 2001))),
+                     "--terms", "3"]) == 0
 
     @pytest.mark.parametrize("argv, allowed", [
         (["lens", "--n", "129", "--weights", "1"], False),

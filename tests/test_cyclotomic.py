@@ -245,6 +245,22 @@ class TestGaloisAndMinimalPolynomial:
         assert len({zeta(3), zeta(6, 2)}) == 1
         assert hash(rat(Fraction(1, 2))) == hash(Fraction(1, 2))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=4),
+           st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=8),
+                    min_size=1, max_size=30))
+    def test_hash_survives_lift(self, n, k, coeffs):
+        v = CyclotomicValue(n, coeffs)
+        assert hash(v) == hash(v.lift(n * k))
+
+    def test_hash_needs_no_minimal_polynomial(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("hash built a minimal polynomial")
+
+        monkeypatch.setattr(CyclotomicValue, "minimal_polynomial", refuse)
+        for v in (zeta(61) + 2, zeta(12, 5) - rat(Fraction(1, 3)), zeta(7) * zeta(5)):
+            assert hash(v) == hash(v.lift(2 * v.order))
+
     def test_set_membership_across_orders(self):
         values = {zeta(3) + 1, zeta(5), rat(7)}
         assert (zeta(6, 2) + 1) in values

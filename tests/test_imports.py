@@ -1,10 +1,12 @@
 """Which heavy libraries each entry point loads, in a fresh interpreter.
 
 etarho runs on mpmath alone: numpy and sympy are test oracles only.  No
-entry point may load either.  One more source guard sits here: the
-Class+-_0 parity rule is decided in one place.
+entry point may load either.  Two more source guards sit here: the
+Class+-_0 parity rule is decided in one place, and the exact layer imports
+no mpmath.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -126,3 +128,15 @@ def test_parity_rule_decided_once():
     offenders += [name for name in ("cli.py", "verify.py")
                   if "% 4" in (package / name).read_text()]
     assert offenders == []
+
+
+# mpmath serves the numeric embedding and the circle quadrature; the modules
+# that compute exact class functions, ranks and lens tables do not import it
+@pytest.mark.parametrize("name", ["chars.py", "rho.py", "lens.py", "exactlinalg.py"])
+def test_exact_layer_imports_no_mpmath(name):
+    tree = ast.parse((Path(SRC) / "etarho" / name).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert [m for m in imported if m.partition(".")[0] == "mpmath"] == []
